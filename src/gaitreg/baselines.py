@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .preprocessing import FeatureDataset
 
 DEFAULT_SVR_C = 10.0
 DEFAULT_SVR_EPSILON = 0.01
@@ -262,7 +261,7 @@ def predict_svr_baseline(baseline: SvrBaseline, x: np.ndarray) -> np.ndarray:
 
 
 def grid_search_svr(
-    features: FeatureDataset,
+    blocks: Sequence[tuple[np.ndarray, np.ndarray]],
     grid_c: Sequence[float],
     grid_epsilon: Sequence[float],
     grid_gamma: Sequence[float],
@@ -272,36 +271,36 @@ def grid_search_svr(
 ) -> tuple[float, float, float]:
     """Pick (C, epsilon, gamma) by mean validation RMSE over trial-level folds.
 
-    Trials are assigned round-robin (in dataset order) to n_folds folds;
-    the score of a triple is the RMSE over all validation rows and both
-    targets, averaged across folds.  Ties keep the lexicographically
-    smallest triple because the grid is scanned in sorted order.
+    blocks holds one already-scaled (inputs, targets) pair per trial.
+    Trial t goes to fold t % n_folds; the score of a triple is the RMSE
+    over all validation rows and both targets, averaged across folds.  Ties
+    keep the lexicographically smallest triple because the grid is scanned
+    in sorted order.
     """
     if not (len(grid_c) and len(grid_epsilon) and len(grid_gamma)):
         raise ConfigError("hyperparameter grid must be non-empty")
-    n_trials = len(features.trial_ids)
-    n_folds = min(n_folds, n_trials)
+    n_folds = min(n_folds, len(blocks))
     if n_folds < 2:
         raise ConfigError(f"grid search needs >= 2 folds, got {n_folds}")
-    fold_rows = [[] for _ in range(n_folds)]
-    for t, (s, e) in enumerate(features.trial_slices):
-        fold_rows[t % n_folds].extend(range(s, e))
-    fold_rows = [np.asarray(rows, dtype=int) for rows in fold_rows]
-    all_rows = np.arange(features.n_rows)
+
+    def stack(fold_blocks):
+        return tuple(np.concatenate(col) for col in zip(*fold_blocks))
+
+    folds = [
+        (
+            stack([b for t, b in enumerate(blocks) if t % n_folds != k]),
+            stack(blocks[k::n_folds]),
+        )
+        for k in range(n_folds)
+    ]
 
     best = None
     best_score = np.inf
     for c, eps, gamma in sorted(product(grid_c, grid_epsilon, grid_gamma)):
         scores = []
-        for rows in fold_rows:
-            train_rows = np.setdiff1d(all_rows, rows)
-            fit = fit_svr_baseline(
-                features.inputs[train_rows],
-                features.targets[train_rows],
-                c, eps, gamma, tol, max_updates,
-            )
-            pred = predict_svr_baseline(fit, features.inputs[rows])
-            err = pred - features.targets[rows]
+        for (x_train, y_train), (x_val, y_val) in folds:
+            fit = fit_svr_baseline(x_train, y_train, c, eps, gamma, tol, max_updates)
+            err = predict_svr_baseline(fit, x_val) - y_val
             scores.append(float(np.sqrt(np.mean(err**2))))
         score = float(np.mean(scores))
         if score < best_score:

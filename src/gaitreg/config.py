@@ -45,8 +45,10 @@ class RunConfig:
     batch_size: int = 16
     init_seed: int = 4183
     shuffle_seed: int = 7140
-    # SVR baseline; the svr_grid_* lists, when set, trigger a pre-run grid
-    # search over trial-level folds and override the scalar values
+    # SVR baseline; the svr_grid_* lists, when set, trigger a grid search
+    # over trial-level folds that overrides the scalar values.  It runs
+    # before LOO on the run's per-trial blocks under pooled min-max scaling,
+    # so each held-out trial influences the hyperparameters its fold uses.
     svr_c: float = 10.0
     svr_epsilon: float = 0.01
     svr_gamma: Optional[float] = None  # None -> 1 / n_features

@@ -180,6 +180,7 @@ def load_trial_csv(path: str | Path) -> GaitTrial:
         raise ParseError(f"{path}: line 2 header must be {CSV_HEADER!r}, got {lines[1]!r}")
     columns = CSV_HEADER.split(",")
     rows = []
+    linenos = []
     for lineno, line in enumerate(lines[2:], start=3):
         if not line:
             continue
@@ -197,12 +198,20 @@ def load_trial_csv(path: str | Path) -> GaitTrial:
                     f"{path}: row {lineno}, column {col!r}: non-numeric cell {cell!r}"
                 ) from None
         rows.append(parsed)
+        linenos.append(lineno)
     data = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(data)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ParseError(
+            f"{path}: row {linenos[row]}, column {columns[col]!r}: "
+            f"non-finite value {float(data[row, col])!r}"
+        )
     expected_t = np.arange(len(data)) / fs
     if not np.allclose(data[:, 0], expected_t, rtol=0.0, atol=1e-9 + 1e-9 / fs):
         bad = int(np.argmax(np.abs(data[:, 0] - expected_t)))
         raise ParseError(
-            f"{path}: row {bad + 3}: time_s {data[bad, 0]!r} deviates from "
+            f"{path}: row {linenos[bad]}: time_s {float(data[bad, 0])!r} deviates from "
             f"uniform spacing 1/{fs} starting at 0"
         )
     try:

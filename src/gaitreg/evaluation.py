@@ -161,7 +161,7 @@ def _run_fold(payload, fold_idx: int) -> FoldResult:
         train_blocks = [b for t, b in enumerate(blocks) if t != fold_idx]
         x_raw = np.concatenate([b[0] for b in train_blocks])
         y_train = np.concatenate([b[1] for b in train_blocks])
-        params = pooled_params if pooled_params is not None else fit_normalization(x_raw)
+        params = pooled_params if config.paper_faithful_norm else fit_normalization(x_raw)
         x_train = apply_normalization(x_raw, params)
         x_test = apply_normalization(blocks[fold_idx][0], params)
         y_test = blocks[fold_idx][1]
@@ -189,26 +189,30 @@ def run_loocv(
 
     Per-trial filtering is computed once and shared by all folds; min-max
     scaling is fitted per fold on the training trials only, or on the
-    pooled data when config.paper_faithful_norm is set.  Results are
-    deterministic for fixed seeds and independent of the job count.
+    pooled data when config.paper_faithful_norm is set.  The optional SVR
+    grid search runs before LOO on the same per-trial blocks under pooled
+    scaling, so every held-out trial influences the chosen
+    hyperparameters.  Results are deterministic for fixed seeds and
+    independent of the job count.
     """
     if model_spec not in MODEL_SPECS:
         raise ConfigError(f"unknown model spec {model_spec!r}; choose from {MODEL_SPECS}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     loo_splits(dataset)  # validates >= 2 trials
     base_filter = ButterworthFilter.design(
         config.cutoff_hz, dataset.trials[0].sample_rate_hz, config.filter_order
     )
     blocks = [trial_features(t, base_filter, config.filter_targets) for t in dataset]
+    grid = model_spec == "svr" and config.svr_grid_c is not None
     pooled_params = None
-    if config.paper_faithful_norm:
+    if config.paper_faithful_norm or grid:
         pooled_params = fit_normalization(np.concatenate([b[0] for b in blocks]))
     svr_params = (config.svr_c, config.svr_epsilon, config.svr_gamma)
     config_echo = config.to_dict()
-    if model_spec == "svr" and config.svr_grid_c is not None:
-        from .preprocessing import build_features
-
+    if grid:
         svr_params = grid_search_svr(
-            build_features(dataset, base_filter, filter_targets=config.filter_targets),
+            [(apply_normalization(x, pooled_params), y) for x, y, _ in blocks],
             config.svr_grid_c,
             config.svr_grid_epsilon,
             config.svr_grid_gamma,

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, TrainError
+from .errors import ConfigError, ParseError, TrainError
 from .ioutil import atomic_write_text
 from .rng import SplitMix64, derive_seed
 
@@ -239,14 +239,22 @@ def save_checkpoint(model: MlpModel, config: TrainConfig, path: str | Path) -> P
 
 
 def load_checkpoint(path: str | Path) -> tuple[MlpModel, TrainConfig]:
+    """Inverse of save_checkpoint; a malformed file raises ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    missing = {"layer_dims", "weights", "biases", "train_config"} - set(payload)
+    if missing:
+        raise ParseError(f"{path}: checkpoint lacks {sorted(missing)}")
     dims = tuple(payload["layer_dims"])
-    weights = []
-    biases = []
-    for l, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        weights.append(np.asarray(payload["weights"][l], dtype=np.float64).reshape(fan_out, fan_in))
-        biases.append(np.asarray(payload["biases"][l], dtype=np.float64))
+    shapes = list(zip(dims[1:], dims[:-1]))  # (fan_out, fan_in) per layer
+    weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]
+    biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
+    got = ([w.shape for w in weights], [b.shape for b in biases])
+    if got != ([(o * i,) for o, i in shapes], [(o,) for o, _ in shapes]):
+        raise ParseError(
+            f"{path}: weight and bias shapes {got} do not match layer_dims {list(dims)}"
+        )
+    weights = [w.reshape(shape) for w, shape in zip(weights, shapes)]
     return MlpModel(dims, weights, biases), TrainConfig(**payload["train_config"])
 
 

@@ -250,39 +250,20 @@ def spectral_energy_fraction(
 
 @dataclass(frozen=True)
 class FeatureDataset:
-    """Row-per-timestep features and targets with trial bookkeeping.
+    """Row-per-timestep features and targets, trials stacked in dataset order.
 
     inputs:   (n, 6) normalized feature matrix
     targets:  (n, 2) [theta_ankle_deg, tau_ankle_Nm], never normalized
-    phase:    (n,) gait phase, linear 0..100 within each trial
-    trial_ids / trial_slices: contiguous row blocks, one per trial
     norm_params: the min-max parameters the inputs were scaled with
     """
 
     inputs: np.ndarray
     targets: np.ndarray
-    phase: np.ndarray
-    trial_ids: tuple[str, ...]
-    trial_slices: tuple[tuple[int, int], ...]
     norm_params: NormalizationParams
 
     @property
     def n_rows(self) -> int:
         return self.inputs.shape[0]
-
-    @property
-    def trial_index(self) -> np.ndarray:
-        """Per-row trial_id (expanded from the block bookkeeping)."""
-        out = np.empty(self.n_rows, dtype=object)
-        for tid, (s, e) in zip(self.trial_ids, self.trial_slices):
-            out[s:e] = tid
-        return out
-
-    def rows_of(self, trial_id: str) -> slice:
-        for tid, (s, e) in zip(self.trial_ids, self.trial_slices):
-            if tid == trial_id:
-                return slice(s, e)
-        raise KeyError(f"trial {trial_id!r} not in feature dataset")
 
 
 def trial_features(
@@ -315,28 +296,19 @@ def build_features(
     params: Optional[NormalizationParams] = None,
     filter_targets: bool = True,
 ) -> FeatureDataset:
-    """Assemble the feature matrix for a dataset.
+    """Stack every trial's trial_features rows into one scaled matrix.
 
     With params=None the min-max range is fitted on these rows (training
     use); passing fitted params transforms held-out trials, whose values
-    may then fall outside [0, 1].
+    may then fall outside [0, 1].  run_loocv works on the per-trial blocks
+    directly; this whole-dataset view serves library callers and demos.
     """
     blocks = [trial_features(t, filt, filter_targets) for t in dataset]
     inputs = np.concatenate([b[0] for b in blocks])
-    targets = np.concatenate([b[1] for b in blocks])
-    phase = np.concatenate([b[2] for b in blocks])
-    slices = []
-    start = 0
-    for b in blocks:
-        slices.append((start, start + len(b[2])))
-        start += len(b[2])
     if params is None:
         params = fit_normalization(inputs)
     return FeatureDataset(
         inputs=apply_normalization(inputs, params),
-        targets=targets,
-        phase=phase,
-        trial_ids=dataset.trial_ids,
-        trial_slices=tuple(slices),
+        targets=np.concatenate([b[1] for b in blocks]),
         norm_params=params,
     )

@@ -5,7 +5,8 @@ from oracles import brute_force_svr_dual, rbf
 from gaitreg import (
     ButterworthFilter,
     SynthConfig,
-    build_features,
+    apply_normalization,
+    fit_normalization,
     generate,
     grid_search_svr,
     linear_fit,
@@ -16,6 +17,7 @@ from gaitreg import (
 from gaitreg.baselines import fit_svr_baseline, predict_svr_baseline, rbf_kernel
 from gaitreg.data import LocomotionMode
 from gaitreg.errors import ConfigError
+from gaitreg.preprocessing import trial_features
 from gaitreg.rng import SplitMix64
 
 
@@ -167,7 +169,7 @@ class TestStandardizedBaseline:
 class TestGridSearch:
     @staticmethod
     @pytest.fixture(scope="class")
-    def linear_features():
+    def linear_blocks():
         config = SynthConfig(
             seed=77,
             trials_per_mode={LocomotionMode.NormalWalk: 6},
@@ -177,47 +179,47 @@ class TestGridSearch:
         )
         dataset = generate(config)
         filt = ButterworthFilter.design(6.0, 200.0, 4)
-        return build_features(dataset, filt, filter_targets=False)
+        blocks = [trial_features(t, filt, filter_targets=False) for t in dataset]
+        params = fit_normalization(np.concatenate([b[0] for b in blocks]))
+        return [(apply_normalization(x, params), y) for x, y, _ in blocks]
 
     @staticmethod
-    def _fold_rows(features, n_folds=2):
-        folds = [[] for _ in range(n_folds)]
-        for t, (s, e) in enumerate(features.trial_slices):
-            folds[t % n_folds].extend(range(s, e))
-        return [np.asarray(rows) for rows in folds]
-
-    def _mean_rmse(self, features, fit_fn, predict_fn):
+    def _mean_rmse(blocks, fit_fn, predict_fn, n_folds=2):
         scores = []
-        for rows in self._fold_rows(features):
-            train = np.setdiff1d(np.arange(features.n_rows), rows)
-            model = fit_fn(features.inputs[train], features.targets[train])
-            pred = predict_fn(model, features.inputs[rows])
-            scores.append(float(np.sqrt(np.mean((pred - features.targets[rows]) ** 2))))
+        for k in range(n_folds):
+            train = [b for t, b in enumerate(blocks) if t % n_folds != k]
+            held = blocks[k::n_folds]
+            model = fit_fn(
+                np.concatenate([x for x, _ in train]), np.concatenate([y for _, y in train])
+            )
+            pred = predict_fn(model, np.concatenate([x for x, _ in held]))
+            err = pred - np.concatenate([y for _, y in held])
+            scores.append(float(np.sqrt(np.mean(err**2))))
         return float(np.mean(scores))
 
-    def test_singleton_grid(self, linear_features):
-        best = grid_search_svr(linear_features, [3.0], [0.1], [0.5], n_folds=2)
+    def test_singleton_grid(self, linear_blocks):
+        best = grid_search_svr(linear_blocks, [3.0], [0.1], [0.5], n_folds=2)
         assert best == (3.0, 0.1, 0.5)
 
-    def test_tie_breaks_lexicographically(self, linear_features):
+    def test_tie_breaks_lexicographically(self, linear_blocks):
         # duplicated values in the grid force exact score ties
-        best = grid_search_svr(linear_features, [2.0, 2.0], [0.1], [0.5, 0.5], n_folds=2)
+        best = grid_search_svr(linear_blocks, [2.0, 2.0], [0.1], [0.5, 0.5], n_folds=2)
         assert best == (2.0, 0.1, 0.5)
 
-    def test_selected_model_close_to_linear_oracle(self, linear_features):
+    def test_selected_model_close_to_linear_oracle(self, linear_blocks):
         # on affine data the exact-fit linear model bounds what any
         # reasonable grid-selected SVR should achieve (same fold protocol)
         best = grid_search_svr(
-            linear_features, [1.0, 10.0, 100.0], [0.01, 0.1], [1.0 / 6.0, 1.0], n_folds=2
+            linear_blocks, [1.0, 10.0, 100.0], [0.01, 0.1], [1.0 / 6.0, 1.0], n_folds=2
         )
-        lin_rmse = self._mean_rmse(linear_features, linear_fit, linear_predict)
+        lin_rmse = self._mean_rmse(linear_blocks, linear_fit, linear_predict)
         svr_rmse = self._mean_rmse(
-            linear_features,
+            linear_blocks,
             lambda x, y: fit_svr_baseline(x, y, *best),
             predict_svr_baseline,
         )
         assert svr_rmse <= 2.0 * lin_rmse
 
-    def test_empty_grid_rejected(self, linear_features):
+    def test_empty_grid_rejected(self, linear_blocks):
         with pytest.raises(ConfigError, match="non-empty"):
-            grid_search_svr(linear_features, [], [0.1], [1.0])
+            grid_search_svr(linear_blocks, [], [0.1], [1.0])

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -127,6 +128,31 @@ class TestLoocv:
         )
         assert proc.returncode == 1
         assert "no trials found" in proc.stderr
+
+    def test_nan_cell_fails_with_one_error_line(self, synth_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir / "data", data)
+        path = sorted(data.glob("*.csv"))[0]
+        lines = path.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[1] = "nan"
+        lines[5] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        proc = run_cli(
+            "loocv", "--data", str(data), "--model", "linear", "--out", str(tmp_path / "rep"),
+        )
+        assert proc.returncode == 1
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and "row 6, column 'theta_hip_deg'" in line
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_config_error(self, synth_dir, tmp_path, jobs):
+        proc = run_cli(
+            "loocv", "--data", str(synth_dir / "data"), "--model", "linear",
+            "--out", str(tmp_path / "rep"), "--jobs", jobs,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: jobs must be >= 1, got {jobs}"]
 
     def test_jobs_parallel_output_identical(self, synth_dir, tmp_path):
         cfg = synth_dir / "config.json"

@@ -117,6 +117,16 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="row 6.*theta_knee_deg.*oops"):
             load_trial_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        lines = trial_csv_text(make_trial()).splitlines()
+        cells = lines[5].split(",")
+        cells[4] = cell
+        lines[5] = ",".join(cells)
+        path = write_csv_text(tmp_path / "bad.csv", "\n".join(lines))
+        with pytest.raises(ParseError, match=f"bad.csv: row 6, column 'tau_ankle_Nm'.*{cell}"):
+            load_trial_csv(path)
+
     def test_bad_header_rejected(self, tmp_path):
         lines = trial_csv_text(make_trial()).splitlines()
         lines[1] = "time,hip,knee,ankle,tau"

@@ -156,7 +156,20 @@ class TestRunLoocv:
         with pytest.raises(TrainError, match="fold 0"):
             run_loocv(small_dataset, "mlp", diverging)
 
-    def test_svr_grid_config_selects_and_echoes(self, small_dataset, small_config):
+    def test_svr_grid_config_selects_and_echoes(self, small_dataset, small_config, monkeypatch):
+        import gaitreg.evaluation as evaluation
+        import gaitreg.preprocessing as preprocessing
+
+        filtered = []
+        original = preprocessing.trial_features
+
+        def counting(trial, *args):
+            filtered.append(trial.trial_id)
+            return original(trial, *args)
+
+        # the grid search must reuse the LOO blocks, not filter trials again
+        monkeypatch.setattr(evaluation, "trial_features", counting)
+        monkeypatch.setattr(preprocessing, "trial_features", counting)
         config = small_config.with_overrides(
             {
                 "svr_grid_c": [1.0, 10.0],
@@ -170,6 +183,7 @@ class TestRunLoocv:
         assert report.config["svr_c"] in (1.0, 10.0)
         assert report.config["svr_epsilon"] == 0.05
         assert report.config["svr_grid_c"] == [1.0, 10.0]
+        assert filtered == list(small_dataset.trial_ids)
 
     def test_partial_grid_rejected(self, small_config):
         with pytest.raises(ConfigError, match="together"):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from oracles import least_squares_fit, scalar_mlp_forward
@@ -14,7 +16,7 @@ from gaitreg import (
     sgd_step,
     train,
 )
-from gaitreg.errors import ConfigError, TrainError
+from gaitreg.errors import ConfigError, ParseError, TrainError
 from gaitreg.mlp import gradient_check
 from gaitreg.rng import SplitMix64
 
@@ -253,3 +255,21 @@ class TestCheckpoint:
         assert loaded_cfg == cfg
         x, _ = random_batch(80, n=4)
         assert np.array_equal(forward(loaded, x), forward(model, x))
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda p: p.pop("weights"), r"lacks \['weights'\]"),
+            (lambda p: p["weights"].pop(), "do not match layer_dims"),
+            (lambda p: p["weights"][0].pop(), r"\(59,\).*do not match"),
+            (lambda p: p["biases"][1].append(0.0), r"\(3,\)\]\) do not match"),
+        ],
+        ids=["no-weights", "missing-layer", "short-weights", "long-biases"],
+    )
+    def test_malformed_file_raises_parse_error(self, tmp_path, corrupt, message):
+        path = save_checkpoint(init((6, 10, 2), 30), TrainConfig(), tmp_path / "model.json")
+        payload = json.loads(path.read_text())
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=message):
+            load_checkpoint(path)

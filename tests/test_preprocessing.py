@@ -16,7 +16,7 @@ from gaitreg import (
     spectral_energy_fraction,
 )
 from gaitreg.errors import ConfigError, PreprocessError
-from gaitreg.preprocessing import NormalizationParams
+from gaitreg.preprocessing import NormalizationParams, trial_features
 from gaitreg.synth import SynthConfig, generate
 from gaitreg.data import LocomotionMode
 
@@ -215,15 +215,17 @@ class TestBuildFeatures:
         assert features.targets.shape == (small_dataset.total_rows(), 2)
         assert features.inputs.min() >= 0.0 and features.inputs.max() <= 1.0
 
-    def test_trial_blocks_contiguous(self, small_dataset, filt):
+    def test_trial_features_per_trial_phase(self, small_dataset, filt):
         features = build_features(small_dataset, filt)
-        assert features.trial_ids == small_dataset.trial_ids
-        index = features.trial_index
-        for tid, (s, e) in zip(features.trial_ids, features.trial_slices):
-            assert set(index[s:e]) == {tid}
-            phase = features.phase[s:e]
+        targets = []
+        for trial in small_dataset:
+            inputs, trial_targets, phase = trial_features(trial, filt)
+            assert inputs.shape == (trial.n_samples, 6)
             assert phase[0] == 0.0 and phase[-1] == 100.0
             assert np.all(np.diff(phase) > 0)
+            targets.append(trial_targets)
+        # build_features stacks the trials' rows in dataset order
+        assert np.array_equal(features.targets, np.concatenate(targets))
 
     def test_velocity_matches_analytic_derivative(self, filt):
         # slow synthetic trial: the filter passes it, so the numerical
