@@ -10,12 +10,18 @@ with a = [alpha; alpha*], z = [+1...; -1...], p = [eps - y; eps + y].
 Each step picks the maximally KKT-violating pair (largest gap between the
 bias candidates -z_t G_t over the up/down index sets), solves the
 two-variable subproblem in closed form, and maintains the gradient
-incrementally.  The bias is the mean candidate over unbounded support
-vectors, or the midpoint of the final bounds if none are free.
+incrementally.  Membership of the four up/down sets is kept as penalty
+vectors, -0.0 inside a set and -inf/+inf outside, of which an update
+rewrites only its two entries; each scan is then one add and one
+argmax/argmin over c0 + penalty, exact because x + -0.0 == x bit for bit.
+The bias is the mean candidate over unbounded support vectors, or the
+midpoint of the final bounds if none are free.  A fit that stops at the
+update cap warns with a RuntimeWarning.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import product
@@ -23,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, TrainError
 
 DEFAULT_SVR_C = 10.0
 DEFAULT_SVR_EPSILON = 0.01
@@ -43,7 +49,8 @@ def linear_fit(x: np.ndarray, y: np.ndarray) -> LinearModel:
     """Least squares via orthogonal decomposition (numpy lstsq / SVD).
 
     Rank-deficient designs fall back to the minimum-norm solution with a
-    warning instead of failing.
+    warning instead of failing.  A design LAPACK cannot decompose (one holding
+    NaN, say) raises TrainError.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -52,7 +59,10 @@ def linear_fit(x: np.ndarray, y: np.ndarray) -> LinearModel:
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ConfigError(f"design {x.shape} and targets {y.shape} do not align")
     design = np.column_stack([x, np.ones(x.shape[0])])
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    try:
+        coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise TrainError(f"least squares failed on a {design.shape} design: {exc}") from None
     if rank < design.shape[1]:
         warnings.warn(
             f"rank-deficient design (rank {rank} < {design.shape[1]}); "
@@ -117,6 +127,9 @@ def svr_fit(
         raise ConfigError(f"gamma must be positive, got {gamma}")
 
     kernel = rbf_kernel(x, x, gamma)
+    diag = kernel.diagonal().tolist()
+    c = float(c)
+    epsilon = float(epsilon)
     alpha = np.zeros(n)  # pushes f(x_i) up
     alpha_star = np.zeros(n)  # pushes f(x_i) down
     # c0 = y - K beta; bias candidates are c0 - eps (alpha side), c0 + eps (alpha* side)
@@ -124,29 +137,31 @@ def svr_fit(
     n_updates = 0
     converged = False
     eps_bound = 1e-12 * c
+    hi_bound = c - eps_bound
+    # set-membership penalties, see the module docstring
+    pen_up_a = np.full(n, -0.0)  # alpha < C
+    pen_up_s = np.full(n, -math.inf)  # alpha* > 0
+    pen_low_a = np.full(n, math.inf)  # alpha > 0
+    pen_low_s = np.full(n, -0.0)  # alpha* < C
     work = np.empty(n)
     while True:
         # maximally violating pair over the up/down sets; alpha side wins ties
-        np.copyto(work, c0)
-        work[alpha >= c - eps_bound] = -np.inf
-        ia = int(np.argmax(work))
-        up_a = work[ia] - epsilon
-        np.copyto(work, c0)
-        work[alpha_star <= eps_bound] = -np.inf
-        is_ = int(np.argmax(work))
-        up_s = work[is_] + epsilon
+        np.add(c0, pen_up_a, out=work)
+        ia = work.argmax()
+        up_a = work.item(ia) - epsilon
+        np.add(c0, pen_up_s, out=work)
+        is_ = work.argmax()
+        up_s = work.item(is_) + epsilon
         i_on_alpha = up_a >= up_s
         m_up = up_a if i_on_alpha else up_s
         bi = ia if i_on_alpha else is_
 
-        np.copyto(work, c0)
-        work[alpha <= eps_bound] = np.inf
-        ja = int(np.argmin(work))
-        low_a = work[ja] - epsilon
-        np.copyto(work, c0)
-        work[alpha_star >= c - eps_bound] = np.inf
-        js = int(np.argmin(work))
-        low_s = work[js] + epsilon
+        np.add(c0, pen_low_a, out=work)
+        ja = work.argmin()
+        low_a = work.item(ja) - epsilon
+        np.add(c0, pen_low_s, out=work)
+        js = work.argmin()
+        low_s = work.item(js) + epsilon
         j_on_alpha = low_a <= low_s
         m_low = low_a if j_on_alpha else low_s
         bj = ja if j_on_alpha else js
@@ -156,33 +171,46 @@ def svr_fit(
             break
         if n_updates >= max_updates:
             break
-        eta = kernel[bi, bi] + kernel[bj, bj] - 2.0 * kernel[bi, bj]
-        cap_i = (c - alpha[bi]) if i_on_alpha else alpha_star[bi]
-        cap_j = alpha[bj] if j_on_alpha else (c - alpha_star[bj])
+        eta = diag[bi] + diag[bj] - 2.0 * kernel.item(bi, bj)
+        cap_i = (c - alpha.item(bi)) if i_on_alpha else alpha_star.item(bi)
+        cap_j = alpha.item(bj) if j_on_alpha else (c - alpha_star.item(bj))
         step = min(cap_i, cap_j)
         if eta > 1e-12:
             step = min(step, (m_up - m_low) / eta)
+        # only the two changed entries can enter or leave a set
         if i_on_alpha:
-            alpha[bi] = min(alpha[bi] + step, c)
+            a = alpha[bi] = min(alpha.item(bi) + step, c)
+            pen_up_a[bi] = -math.inf if a >= hi_bound else -0.0
+            pen_low_a[bi] = math.inf if a <= eps_bound else -0.0
         else:
-            alpha_star[bi] = max(alpha_star[bi] - step, 0.0)
+            a = alpha_star[bi] = max(alpha_star.item(bi) - step, 0.0)
+            pen_up_s[bi] = -math.inf if a <= eps_bound else -0.0
+            pen_low_s[bi] = math.inf if a >= hi_bound else -0.0
         if j_on_alpha:
-            alpha[bj] = max(alpha[bj] - step, 0.0)
+            a = alpha[bj] = max(alpha.item(bj) - step, 0.0)
+            pen_up_a[bj] = -math.inf if a >= hi_bound else -0.0
+            pen_low_a[bj] = math.inf if a <= eps_bound else -0.0
         else:
-            alpha_star[bj] = min(alpha_star[bj] + step, c)
+            a = alpha_star[bj] = min(alpha_star.item(bj) + step, c)
+            pen_up_s[bj] = -math.inf if a <= eps_bound else -0.0
+            pen_low_s[bj] = math.inf if a >= hi_bound else -0.0
         # beta_bi += step, beta_bj -= step, so K beta moves along two kernel rows
-        c0 -= step * kernel[bi]
-        c0 += step * kernel[bj]
+        c0 -= np.multiply(kernel[bi], step, out=work)
+        c0 += np.multiply(kernel[bj], step, out=work)
         n_updates += 1
 
+    if not converged:
+        warnings.warn(
+            "SMO stopped at the update cap before reaching tol", RuntimeWarning, stacklevel=2
+        )
     coef = alpha - alpha_star
-    free_a = (alpha > eps_bound) & (alpha < c - eps_bound)
-    free_s = (alpha_star > eps_bound) & (alpha_star < c - eps_bound)
+    free_a = (alpha > eps_bound) & (alpha < hi_bound)
+    free_s = (alpha_star > eps_bound) & (alpha_star < hi_bound)
     if np.any(free_a) or np.any(free_s):
         cands = np.concatenate([c0[free_a] - epsilon, c0[free_s] + epsilon])
         bias = float(cands.mean())
     else:
-        bias = float((m_up + m_low) / 2.0) if np.isfinite(m_up + m_low) else 0.0
+        bias = (m_up + m_low) / 2.0 if math.isfinite(m_up + m_low) else 0.0
 
     k_coef = kernel @ coef
     dual = float(

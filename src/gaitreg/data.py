@@ -64,7 +64,15 @@ class GaitTrial:
 
     def __post_init__(self):
         for name in ("theta_hip", "theta_knee", "theta_ankle", "tau_ankle"):
-            object.__setattr__(self, name, _as_readonly(getattr(self, name), name))
+            column = _as_readonly(getattr(self, name), name)
+            finite = np.isfinite(column)
+            if not finite.all():
+                index = int(finite.argmin())
+                raise ConfigError(
+                    f"trial {self.trial_id!r}: {name} sample {index} is not finite "
+                    f"({column[index]})"
+                )
+            object.__setattr__(self, name, column)
         n = len(self.theta_hip)
         for name in ("theta_knee", "theta_ankle", "tau_ankle"):
             if len(getattr(self, name)) != n:

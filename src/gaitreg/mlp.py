@@ -241,7 +241,12 @@ def save_checkpoint(model: MlpModel, config: TrainConfig, path: str | Path) -> P
 def load_checkpoint(path: str | Path) -> tuple[MlpModel, TrainConfig]:
     """Inverse of save_checkpoint; a malformed file raises ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: checkpoint is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: checkpoint must be a JSON object, got {type(payload).__name__}")
     missing = {"layer_dims", "weights", "biases", "train_config"} - set(payload)
     if missing:
         raise ParseError(f"{path}: checkpoint lacks {sorted(missing)}")

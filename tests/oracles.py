@@ -105,3 +105,86 @@ def dft_energy_fraction(signal, fs, threshold_hz):
     power = np.abs(np.fft.fft(x)) ** 2
     freqs = np.abs(np.fft.fftfreq(len(x), 1.0 / fs))
     return float(power[freqs <= threshold_hz].sum() / power.sum())
+
+
+def masked_scan_smo(x, y, c, epsilon, gamma, tol, max_updates):
+    """SMO for the epsilon-SVR dual with the maximal-violating-pair rule.
+
+    Rebuilds each of the four up/down index sets as a masked copy of c0 on
+    every update.  The same pair rule, tie-breaking and floating-point
+    arithmetic as gaitreg's svr_fit, so its results must match bit for bit.
+    Returns (coef, bias, n_updates, converged).
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64).ravel()
+    n = x.shape[0]
+    sq = (
+        np.sum(x**2, axis=1)[:, None]
+        + np.sum(x**2, axis=1)[None, :]
+        - 2.0 * (x @ x.T)
+    )
+    kernel = np.exp(-gamma * np.maximum(sq, 0.0))
+    alpha = np.zeros(n)
+    alpha_star = np.zeros(n)
+    c0 = y.copy()
+    n_updates = 0
+    converged = False
+    eps_bound = 1e-12 * c
+    work = np.empty(n)
+    while True:
+        np.copyto(work, c0)
+        work[alpha >= c - eps_bound] = -np.inf
+        ia = int(np.argmax(work))
+        up_a = work[ia] - epsilon
+        np.copyto(work, c0)
+        work[alpha_star <= eps_bound] = -np.inf
+        is_ = int(np.argmax(work))
+        up_s = work[is_] + epsilon
+        i_on_alpha = up_a >= up_s
+        m_up = up_a if i_on_alpha else up_s
+        bi = ia if i_on_alpha else is_
+
+        np.copyto(work, c0)
+        work[alpha <= eps_bound] = np.inf
+        ja = int(np.argmin(work))
+        low_a = work[ja] - epsilon
+        np.copyto(work, c0)
+        work[alpha_star >= c - eps_bound] = np.inf
+        js = int(np.argmin(work))
+        low_s = work[js] + epsilon
+        j_on_alpha = low_a <= low_s
+        m_low = low_a if j_on_alpha else low_s
+        bj = ja if j_on_alpha else js
+
+        if m_up - m_low < tol:
+            converged = True
+            break
+        if n_updates >= max_updates:
+            break
+        eta = kernel[bi, bi] + kernel[bj, bj] - 2.0 * kernel[bi, bj]
+        cap_i = (c - alpha[bi]) if i_on_alpha else alpha_star[bi]
+        cap_j = alpha[bj] if j_on_alpha else (c - alpha_star[bj])
+        step = min(cap_i, cap_j)
+        if eta > 1e-12:
+            step = min(step, (m_up - m_low) / eta)
+        if i_on_alpha:
+            alpha[bi] = min(alpha[bi] + step, c)
+        else:
+            alpha_star[bi] = max(alpha_star[bi] - step, 0.0)
+        if j_on_alpha:
+            alpha[bj] = max(alpha[bj] - step, 0.0)
+        else:
+            alpha_star[bj] = min(alpha_star[bj] + step, c)
+        c0 -= step * kernel[bi]
+        c0 += step * kernel[bj]
+        n_updates += 1
+
+    coef = alpha - alpha_star
+    free_a = (alpha > eps_bound) & (alpha < c - eps_bound)
+    free_s = (alpha_star > eps_bound) & (alpha_star < c - eps_bound)
+    if np.any(free_a) or np.any(free_s):
+        cands = np.concatenate([c0[free_a] - epsilon, c0[free_s] + epsilon])
+        bias = float(cands.mean())
+    else:
+        bias = float((m_up + m_low) / 2.0) if np.isfinite(m_up + m_low) else 0.0
+    return coef, bias, n_updates, converged

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from oracles import brute_force_svr_dual, rbf
+from oracles import brute_force_svr_dual, masked_scan_smo, rbf
 
 from gaitreg import (
     ButterworthFilter,
@@ -16,7 +18,7 @@ from gaitreg import (
 )
 from gaitreg.baselines import fit_svr_baseline, predict_svr_baseline, rbf_kernel
 from gaitreg.data import LocomotionMode
-from gaitreg.errors import ConfigError
+from gaitreg.errors import ConfigError, TrainError
 from gaitreg.preprocessing import trial_features
 from gaitreg.rng import SplitMix64
 
@@ -61,6 +63,12 @@ class TestLinearFit:
         with pytest.warns(UserWarning, match="rank-deficient"):
             model = linear_fit(x, np.arange(10.0))
         assert np.all(np.isfinite(model.weights))
+
+    def test_lapack_failure_raises_train_error(self):
+        x = SplitMix64(4).uniform_block(60).reshape(10, 6)
+        x[3, 2] = np.nan
+        with pytest.raises(TrainError, match=r"least squares failed on a \(10, 7\) design"):
+            linear_fit(x, np.arange(10.0))
 
 
 class TestSvrFit:
@@ -122,9 +130,57 @@ class TestSvrFit:
         rng = np.random.default_rng(13)
         x = rng.normal(size=(60, 3))
         y = rng.normal(size=60)
-        model = svr_fit(x, y, c=100.0, epsilon=0.0, gamma=2.0, max_updates=5)
+        with pytest.warns(RuntimeWarning, match="update cap"):
+            model = svr_fit(x, y, c=100.0, epsilon=0.0, gamma=2.0, max_updates=5)
         assert not model.converged
         assert model.n_updates == 5
+
+    def test_converged_fit_emits_no_warning(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(60, 3))
+        y = rng.normal(size=60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = svr_fit(x, y, c=10.0, epsilon=0.1, gamma=0.5)
+        assert model.converged
+
+    @pytest.mark.parametrize(
+        "n, d, copies, params",
+        [
+            (40, 2, 1, dict(c=10.0, epsilon=0.05, gamma=0.5)),
+            (90, 4, 1, dict(c=0.5, epsilon=0.05, gamma=0.25)),
+            (150, 6, 1, dict(c=3.0, epsilon=0.05, gamma=1.0 / 6.0)),
+            (20, 3, 3, dict(c=2.0, epsilon=0.1, gamma=0.5)),  # equal rows: ties in c0
+            (50, 3, 1, dict(c=100.0, epsilon=0.0, gamma=2.0, max_updates=5)),
+            (50, 3, 1, dict(c=10.0, epsilon=0.0, gamma=0.5)),
+            (50, 3, 1, dict(c=10.0, epsilon=10.0, gamma=0.5)),  # no update
+            (1, 3, 1, dict(c=5.0, epsilon=0.2, gamma=1.0)),
+        ],
+        ids=[
+            "random-a",
+            "random-b",
+            "random-c",
+            "duplicated-rows",
+            "capped",
+            "epsilon-zero",
+            "wide-tube",
+            "single-row",
+        ],
+    )
+    def test_bit_identical_to_masked_scan_reference(self, n, d, copies, params):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(n, d))
+        y = np.sin(x.sum(axis=1)) + 0.3 * rng.normal(size=n)
+        x, y = np.tile(x, (copies, 1)), np.tile(y, copies)
+        params = {"tol": 1e-3, "max_updates": 100_000, **params}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the capped case warns
+            model = svr_fit(x, y, **params)
+        coef, bias, n_updates, converged = masked_scan_smo(x, y, **params)
+        assert np.array_equal(model.coef, coef)
+        assert model.bias == bias
+        assert model.n_updates == n_updates
+        assert model.converged == converged == (params["max_updates"] > 5)
 
 
 class TestSvrPredict:

@@ -53,6 +53,14 @@ class TestGaitTrial:
         with pytest.raises(ConfigError, match="at least 16"):
             make_trial(n=15)
 
+    @pytest.mark.parametrize("column", ["theta_hip", "theta_knee", "theta_ankle", "tau_ankle"])
+    def test_non_finite_sample_names_trial_column_and_index(self, column):
+        names = ("theta_hip", "theta_knee", "theta_ankle", "tau_ankle")
+        columns = {name: np.zeros(40) for name in names}
+        columns[column][[7, 30]] = [np.nan, np.inf]
+        with pytest.raises(ConfigError, match=f"trial 'bad': {column} sample 7 is not finite"):
+            GaitTrial("bad", LocomotionMode.NormalWalk, 200.0, **columns)
+
     def test_arrays_are_immutable(self):
         trial = make_trial()
         with pytest.raises(ValueError):

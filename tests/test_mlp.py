@@ -245,6 +245,16 @@ class TestProperties:
         assert np.abs(forward(model, x) - base).max() < 1e-9
 
 
+def _edited(edit):
+    """Checkpoint corruption that edits the payload, then serializes it."""
+
+    def text(payload):
+        edit(payload)
+        return json.dumps(payload)
+
+    return text
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model = init((6, 10, 2), 30)
@@ -259,17 +269,24 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (lambda p: p.pop("weights"), r"lacks \['weights'\]"),
-            (lambda p: p["weights"].pop(), "do not match layer_dims"),
-            (lambda p: p["weights"][0].pop(), r"\(59,\).*do not match"),
-            (lambda p: p["biases"][1].append(0.0), r"\(3,\)\]\) do not match"),
+            (_edited(lambda p: p.pop("weights")), r"lacks \['weights'\]"),
+            (_edited(lambda p: p["weights"].pop()), "do not match layer_dims"),
+            (_edited(lambda p: p["weights"][0].pop()), r"\(59,\).*do not match"),
+            (_edited(lambda p: p["biases"][1].append(0.0)), r"\(3,\)\]\) do not match"),
+            (lambda p: json.dumps(p)[:-20], "model.json: checkpoint is not valid JSON"),
+            (lambda p: json.dumps([p]), "model.json: checkpoint must be a JSON object, got list"),
         ],
-        ids=["no-weights", "missing-layer", "short-weights", "long-biases"],
+        ids=[
+            "no-weights",
+            "missing-layer",
+            "short-weights",
+            "long-biases",
+            "truncated",
+            "top-level-list",
+        ],
     )
     def test_malformed_file_raises_parse_error(self, tmp_path, corrupt, message):
         path = save_checkpoint(init((6, 10, 2), 30), TrainConfig(), tmp_path / "model.json")
-        payload = json.loads(path.read_text())
-        corrupt(payload)
-        path.write_text(json.dumps(payload))
+        path.write_text(corrupt(json.loads(path.read_text())))
         with pytest.raises(ParseError, match=message):
             load_checkpoint(path)
