@@ -10,6 +10,8 @@ Run from the repository root:  python demos/02_preprocessing_pipeline.py
 
 from math import pi, tan
 
+import numpy as np
+
 from gaitreg import (
     ButterworthFilter,
     SynthConfig,
@@ -17,7 +19,12 @@ from gaitreg import (
     generate,
     spectral_energy_fraction,
 )
-from gaitreg.preprocessing import FEATURE_NAMES
+from gaitreg.preprocessing import (
+    FEATURE_NAMES,
+    apply_normalization,
+    fit_normalization,
+    trial_features,
+)
 
 FS = 200.0
 filt = ButterworthFilter.design(cutoff_hz=6.0, sample_rate_hz=FS, order=4)
@@ -45,15 +52,15 @@ print(f"\nfeature matrix: {features.inputs.shape}, targets: {features.targets.sh
 print(f"columns: {', '.join(FEATURE_NAMES)}")
 print(f"training inputs span [{features.inputs.min():.3f}, {features.inputs.max():.3f}]")
 
-# Scaling parameters fitted on one set of trials transform any other set;
-# held-out values may legitimately fall outside [0, 1] and are not clamped.
-from gaitreg.data import GaitDataset
-
-train = GaitDataset(dataset.trials[1:])
-held = GaitDataset(dataset.trials[:1])
-fitted = build_features(train, filt)
-held_features = build_features(held, filt, params=fitted.norm_params)
+# Held-out scaling, as in every leave-one-out fold of run_loocv: fit the
+# min-max range on the training trials' unnormalized features only, then
+# apply it to the held-out trial, whose values may legitimately fall
+# outside [0, 1] and are not clamped.
+train_rows = np.concatenate([trial_features(t, filt)[0] for t in dataset.trials[1:]])
+held_rows = trial_features(dataset.trials[0], filt)[0]
+params = fit_normalization(train_rows)
+held_scaled = apply_normalization(held_rows, params)
 print(
-    f"held-out trial inputs span [{held_features.inputs.min():.3f}, "
-    f"{held_features.inputs.max():.3f}] under the training fold's scaling"
+    f"held-out trial inputs span [{held_scaled.min():.3f}, "
+    f"{held_scaled.max():.3f}] under the training fold's scaling"
 )

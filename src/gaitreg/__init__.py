@@ -5,111 +5,44 @@ baselines) serves five locomotion modes without a mode classifier.  The
 package covers the whole offline pipeline: synthetic trial generation,
 low-pass filtering and differentiation, min-max feature scaling,
 leave-one-out evaluation, and report/plot emission.
+
+__all__ holds the entry points the demos and the README use; every other
+name is imported from its submodule (gaitreg.data, gaitreg.preprocessing,
+gaitreg.mlp, ...).
 """
 
 __version__ = "0.1.0"
 
 CONFIG_SCHEMA_VERSION = 1
 
-from .data import (
-    GaitDataset,
-    GaitTrial,
-    LocomotionMode,
-    load_trial_csv,
-    loo_splits,
-    write_trial_csv,
-)
+from .baselines import linear_fit, linear_predict, svr_fit, svr_predict
+from .config import RunConfig
+from .data import loo_splits
+from .evaluation import emit_report, r2_score, rmse, run_loocv
 from .preprocessing import (
     ButterworthFilter,
-    FeatureDataset,
-    NormalizationParams,
-    apply_normalization,
     build_features,
-    differentiate,
-    fit_normalization,
-    invert_normalization,
     lowpass_zero_phase,
     spectral_energy_fraction,
 )
 from .synth import SynthConfig, generate, ground_truth
-from .mlp import (
-    MlpModel,
-    OptimizerState,
-    TrainConfig,
-    forward,
-    init,
-    load_checkpoint,
-    loss_and_gradient,
-    save_checkpoint,
-    sgd_step,
-    train,
-)
-from .baselines import (
-    LinearModel,
-    SvrModel,
-    grid_search_svr,
-    linear_fit,
-    linear_predict,
-    svr_fit,
-    svr_predict,
-)
-from .evaluation import (
-    EvalReport,
-    FoldResult,
-    emit_report,
-    load_report,
-    phase_mae_curve,
-    r2_score,
-    rmse,
-    run_loocv,
-)
-from .config import RunConfig
 
 __all__ = [
-    "CONFIG_SCHEMA_VERSION",
     "ButterworthFilter",
-    "EvalReport",
-    "FeatureDataset",
-    "FoldResult",
-    "GaitDataset",
-    "GaitTrial",
-    "LinearModel",
-    "LocomotionMode",
-    "MlpModel",
-    "NormalizationParams",
-    "OptimizerState",
     "RunConfig",
-    "SvrModel",
     "SynthConfig",
-    "TrainConfig",
-    "apply_normalization",
     "build_features",
-    "differentiate",
     "emit_report",
-    "fit_normalization",
-    "forward",
     "generate",
-    "grid_search_svr",
     "ground_truth",
-    "init",
-    "invert_normalization",
     "linear_fit",
     "linear_predict",
-    "load_checkpoint",
-    "load_report",
-    "load_trial_csv",
     "loo_splits",
-    "loss_and_gradient",
     "lowpass_zero_phase",
-    "phase_mae_curve",
     "r2_score",
     "rmse",
     "run_loocv",
-    "save_checkpoint",
-    "sgd_step",
     "spectral_energy_fraction",
     "svr_fit",
     "svr_predict",
-    "train",
-    "write_trial_csv",
 ]

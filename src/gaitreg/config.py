@@ -12,9 +12,15 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Optional
 
+from .baselines import (
+    DEFAULT_SVR_C,
+    DEFAULT_SVR_EPSILON,
+    DEFAULT_SVR_MAX_UPDATES,
+    DEFAULT_SVR_TOL,
+)
 from .data import LocomotionMode
 from .errors import ConfigError
-from .mlp import TrainConfig
+from .mlp import DEFAULT_LAYER_DIMS, TrainConfig
 from .synth import DEFAULT_TRIALS_PER_MODE, SynthConfig
 
 
@@ -37,7 +43,7 @@ class RunConfig:
     filter_targets: bool = True
     paper_faithful_norm: bool = False
     # shared network
-    layer_dims: tuple = (6, 100, 100, 100, 2)
+    layer_dims: tuple = DEFAULT_LAYER_DIMS
     epochs: int = 30
     learning_rate: float = 1e-4
     momentum: float = 0.9
@@ -49,11 +55,11 @@ class RunConfig:
     # over trial-level folds that overrides the scalar values.  It runs
     # before LOO on the run's per-trial blocks under pooled min-max scaling,
     # so each held-out trial influences the hyperparameters its fold uses.
-    svr_c: float = 10.0
-    svr_epsilon: float = 0.01
+    svr_c: float = DEFAULT_SVR_C
+    svr_epsilon: float = DEFAULT_SVR_EPSILON
     svr_gamma: Optional[float] = None  # None -> 1 / n_features
-    svr_tol: float = 1e-3
-    svr_max_updates: int = 100_000
+    svr_tol: float = DEFAULT_SVR_TOL
+    svr_max_updates: int = DEFAULT_SVR_MAX_UPDATES
     svr_grid_c: Optional[list] = None
     svr_grid_epsilon: Optional[list] = None
     svr_grid_gamma: Optional[list] = None

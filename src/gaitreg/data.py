@@ -245,9 +245,8 @@ def trial_csv_text(trial: GaitTrial) -> str:
     ]
     fs = trial.sample_rate_hz
     cols = (trial.theta_hip, trial.theta_knee, trial.theta_ankle, trial.tau_ankle)
-    for i in range(trial.n_samples):
-        cells = ",".join(repr(float(col[i])) for col in cols)
-        out.append(f"{i / fs!r},{cells}")
+    for i, row in enumerate(zip(*(col.tolist() for col in cols))):
+        out.append(f"{i / fs!r},{','.join(map(repr, row))}")
     return "\n".join(out) + "\n"
 
 

@@ -129,9 +129,7 @@ class EvalReport:
     missing_modes: list[str]
 
 
-def _fit_predict(
-    model_spec: str, config: RunConfig, fold_idx: int, x_train, y_train, x_test, svr_params
-):
+def _fit_predict(model_spec: str, config: RunConfig, fold_idx: int, x_train, y_train, x_test):
     if model_spec == "mlp":
         model = init(config.layer_dims, derive_seed(config.init_seed, fold_idx))
         tcfg = config.train_config(shuffle_seed=derive_seed(config.shuffle_seed, fold_idx))
@@ -140,13 +138,12 @@ def _fit_predict(
     if model_spec == "linear":
         return linear_predict(linear_fit(x_train, y_train), x_test)
     if model_spec == "svr":
-        c, epsilon, gamma = svr_params
         baseline = fit_svr_baseline(
             x_train,
             y_train,
-            c=c,
-            epsilon=epsilon,
-            gamma=gamma,
+            c=config.svr_c,
+            epsilon=config.svr_epsilon,
+            gamma=config.svr_gamma,
             tol=config.svr_tol,
             max_updates=config.svr_max_updates,
         )
@@ -155,7 +152,7 @@ def _fit_predict(
 
 
 def _run_fold(payload, fold_idx: int) -> FoldResult:
-    dataset, blocks, pooled_params, model_spec, config, svr_params = payload
+    dataset, blocks, pooled_params, model_spec, config = payload
     held = dataset.trials[fold_idx]
     try:
         train_blocks = [b for t, b in enumerate(blocks) if t != fold_idx]
@@ -166,9 +163,7 @@ def _run_fold(payload, fold_idx: int) -> FoldResult:
         x_test = apply_normalization(blocks[fold_idx][0], params)
         y_test = blocks[fold_idx][1]
         phase = blocks[fold_idx][2]
-        y_pred = _fit_predict(
-            model_spec, config, fold_idx, x_train, y_train, x_test, svr_params
-        )
+        y_pred = _fit_predict(model_spec, config, fold_idx, x_train, y_train, x_test)
     except PipelineError as exc:
         raise type(exc)(f"fold {fold_idx} (held-out {held.trial_id!r}): {exc}") from None
     return FoldResult(
@@ -208,10 +203,8 @@ def run_loocv(
     pooled_params = None
     if config.paper_faithful_norm or grid:
         pooled_params = fit_normalization(np.concatenate([b[0] for b in blocks]))
-    svr_params = (config.svr_c, config.svr_epsilon, config.svr_gamma)
-    config_echo = config.to_dict()
     if grid:
-        svr_params = grid_search_svr(
+        c, epsilon, gamma = grid_search_svr(
             [(apply_normalization(x, pooled_params), y) for x, y, _ in blocks],
             config.svr_grid_c,
             config.svr_grid_epsilon,
@@ -220,9 +213,9 @@ def run_loocv(
             tol=config.svr_tol,
             max_updates=config.svr_max_updates,
         )
-        # echo the effective hyperparameters the folds actually used
-        config_echo["svr_c"], config_echo["svr_epsilon"], config_echo["svr_gamma"] = svr_params
-    payload = (dataset, blocks, pooled_params, model_spec, config, svr_params)
+        # the folds, and the report's config echo, use the chosen values
+        config = config.with_overrides({"svr_c": c, "svr_epsilon": epsilon, "svr_gamma": gamma})
+    payload = (dataset, blocks, pooled_params, model_spec, config)
 
     indices = range(len(dataset))
     if jobs > 1:
@@ -241,13 +234,12 @@ def run_loocv(
         _, mae, se = phase_mae_curve(mode_folds, config.phase_bins)
         r2s = {k: np.array([f.r2[k] for f in mode_folds]) for k in TARGET_KEYS}
         rmses = {k: np.array([f.rmse[k] for f in mode_folds]) for k in TARGET_KEYS}
-        ddof = 1 if len(mode_folds) > 1 else 0
         modes[mode.name] = ModeSummary(
             n_trials=len(mode_folds),
             r2_mean={k: float(v.mean()) for k, v in r2s.items()},
-            r2_sd={k: float(v.std(ddof=ddof)) if len(v) > 1 else 0.0 for k, v in r2s.items()},
+            r2_sd={k: float(v.std(ddof=1)) if len(v) > 1 else 0.0 for k, v in r2s.items()},
             rmse_mean={k: float(v.mean()) for k, v in rmses.items()},
-            rmse_sd={k: float(v.std(ddof=ddof)) if len(v) > 1 else 0.0 for k, v in rmses.items()},
+            rmse_sd={k: float(v.std(ddof=1)) if len(v) > 1 else 0.0 for k, v in rmses.items()},
             phase_mae={k: mae[:, t] for t, k in enumerate(TARGET_KEYS)},
             phase_se={k: se[:, t] for t, k in enumerate(TARGET_KEYS)},
         )
@@ -259,7 +251,7 @@ def run_loocv(
         "rmse": {k: rmse(y_true_all[:, t], y_pred_all[:, t]) for t, k in enumerate(TARGET_KEYS)},
     }
     return EvalReport(
-        config=config_echo,
+        config=config.to_dict(),
         model_spec=model_spec,
         folds=folds,
         modes=modes,

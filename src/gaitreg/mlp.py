@@ -42,13 +42,6 @@ class MlpModel:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def copy(self) -> "MlpModel":
-        return MlpModel(
-            self.layer_dims,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
-
 
 @dataclass(frozen=True)
 class TrainConfig:

@@ -14,14 +14,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from math import cos, pi, sin, tan
-from typing import Optional
 
 import numpy as np
 
 from .data import GaitDataset, GaitTrial
 from .errors import ConfigError, PreprocessError
-
-N_FEATURES = 6
 
 FEATURE_NAMES = (
     "theta_hip",
@@ -31,8 +28,6 @@ FEATURE_NAMES = (
     "dtheta_knee",
     "ddtheta_knee",
 )
-
-TARGET_NAMES = ("theta_ankle", "tau_ankle")
 
 
 @dataclass(frozen=True)
@@ -208,16 +203,6 @@ def apply_normalization(rows: np.ndarray, params: NormalizationParams) -> np.nda
     return out
 
 
-def invert_normalization(rows: np.ndarray, params: NormalizationParams) -> np.ndarray:
-    """Inverse of apply_normalization on non-degenerate columns."""
-    rows = np.asarray(rows, dtype=np.float64)
-    span = params.maxs - params.mins
-    safe = np.where(params.degenerate, 1.0, span)
-    out = rows * safe + params.mins
-    out[:, params.degenerate] = params.mins[params.degenerate]
-    return out
-
-
 def spectral_energy_fraction(
     signal: np.ndarray, sample_rate_hz: float, threshold_hz: float
 ) -> float:
@@ -252,18 +237,36 @@ def spectral_energy_fraction(
 class FeatureDataset:
     """Row-per-timestep features and targets, trials stacked in dataset order.
 
-    inputs:   (n, 6) normalized feature matrix
+    inputs:   (n, 6) feature matrix, min-max scaled over these rows
     targets:  (n, 2) [theta_ankle_deg, tau_ankle_Nm], never normalized
-    norm_params: the min-max parameters the inputs were scaled with
     """
 
     inputs: np.ndarray
     targets: np.ndarray
-    norm_params: NormalizationParams
 
     @property
     def n_rows(self) -> int:
         return self.inputs.shape[0]
+
+
+def input_features(
+    theta_hip: np.ndarray,
+    theta_knee: np.ndarray,
+    filt: ButterworthFilter,
+    sample_rate_hz: float,
+) -> np.ndarray:
+    """The (n, 6) unnormalized input columns, in FEATURE_NAMES order.
+
+    filt must already be designed for sample_rate_hz.
+    """
+    dt = 1.0 / sample_rate_hz
+    hip = lowpass_zero_phase(theta_hip, filt)
+    knee = lowpass_zero_phase(theta_knee, filt)
+    hip_v = differentiate(hip, dt)
+    hip_a = differentiate(hip_v, dt)
+    knee_v = differentiate(knee, dt)
+    knee_a = differentiate(knee_v, dt)
+    return np.column_stack([hip, hip_v, hip_a, knee, knee_v, knee_a])
 
 
 def trial_features(
@@ -271,14 +274,7 @@ def trial_features(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unnormalized (inputs, targets, phase) for a single trial."""
     filt = filt.with_sample_rate(trial.sample_rate_hz)
-    dt = 1.0 / trial.sample_rate_hz
-    hip = lowpass_zero_phase(trial.theta_hip, filt)
-    knee = lowpass_zero_phase(trial.theta_knee, filt)
-    hip_v = differentiate(hip, dt)
-    hip_a = differentiate(hip_v, dt)
-    knee_v = differentiate(knee, dt)
-    knee_a = differentiate(knee_v, dt)
-    inputs = np.column_stack([hip, hip_v, hip_a, knee, knee_v, knee_a])
+    inputs = input_features(trial.theta_hip, trial.theta_knee, filt, trial.sample_rate_hz)
     if filter_targets:
         ankle = lowpass_zero_phase(trial.theta_ankle, filt)
         tau = lowpass_zero_phase(trial.tau_ankle, filt)
@@ -291,24 +287,16 @@ def trial_features(
 
 
 def build_features(
-    dataset: GaitDataset,
-    filt: ButterworthFilter,
-    params: Optional[NormalizationParams] = None,
-    filter_targets: bool = True,
+    dataset: GaitDataset, filt: ButterworthFilter, filter_targets: bool = True
 ) -> FeatureDataset:
-    """Stack every trial's trial_features rows into one scaled matrix.
+    """Stack every trial's trial_features rows into one matrix scaled over them.
 
-    With params=None the min-max range is fitted on these rows (training
-    use); passing fitted params transforms held-out trials, whose values
-    may then fall outside [0, 1].  run_loocv works on the per-trial blocks
-    directly; this whole-dataset view serves library callers and demos.
+    run_loocv works on the per-trial blocks directly and fits the scaling
+    per fold; this whole-dataset view serves library callers and demos.
     """
     blocks = [trial_features(t, filt, filter_targets) for t in dataset]
     inputs = np.concatenate([b[0] for b in blocks])
-    if params is None:
-        params = fit_normalization(inputs)
     return FeatureDataset(
-        inputs=apply_normalization(inputs, params),
+        inputs=apply_normalization(inputs, fit_normalization(inputs)),
         targets=np.concatenate([b[1] for b in blocks]),
-        norm_params=params,
     )

@@ -29,9 +29,9 @@ from math import pi
 from pathlib import Path
 import numpy as np
 
-from .data import GaitDataset, GaitTrial, LocomotionMode, write_trial_csv
+from .data import MIN_TRIAL_SAMPLES, GaitDataset, GaitTrial, LocomotionMode, write_trial_csv
 from .errors import ConfigError, PipelineError
-from .preprocessing import ButterworthFilter, differentiate, lowpass_zero_phase
+from .preprocessing import ButterworthFilter, input_features
 from .rng import SplitMix64, derive_seed
 
 SYNTH_SAMPLE_RATE_HZ = 200.0
@@ -121,8 +121,10 @@ class SynthConfig:
             if count < 1:
                 raise ConfigError(f"trials_per_mode[{mode.name}] must be >= 1, got {count}")
         object.__setattr__(self, "trials_per_mode", counts)
-        if self.samples_per_trial < 16:
-            raise ConfigError(f"samples_per_trial must be >= 16, got {self.samples_per_trial}")
+        if self.samples_per_trial < MIN_TRIAL_SAMPLES:
+            raise ConfigError(
+                f"samples_per_trial must be >= {MIN_TRIAL_SAMPLES}, got {self.samples_per_trial}"
+            )
         if self.noise_std_deg < 0.0:
             raise ConfigError(f"noise_std_deg must be >= 0, got {self.noise_std_deg}")
         if not 0.0 <= self.speed_jitter < 0.5:
@@ -204,7 +206,7 @@ def _plan_trial(
     stream = SplitMix64(derive_seed(config.seed, mode.value, index))
     u_dur, u_hip, u_knee = stream.uniform_block(3)
     n = int(round(config.samples_per_trial * (1.0 + config.speed_jitter * (2.0 * u_dur - 1.0))))
-    n = max(16, n)
+    n = max(MIN_TRIAL_SAMPLES, n)
     plan = _TrialPlan(
         mode=mode,
         index=index,
@@ -231,14 +233,7 @@ _LINEAR_FILTER = ButterworthFilter.design(6.0, SYNTH_SAMPLE_RATE_HZ, 4)
 
 def _linear_targets(hip: np.ndarray, knee: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """linear_mode targets: global affine map of the pipeline features."""
-    dt = 1.0 / SYNTH_SAMPLE_RATE_HZ
-    hip_f = lowpass_zero_phase(hip, _LINEAR_FILTER)
-    knee_f = lowpass_zero_phase(knee, _LINEAR_FILTER)
-    hip_v = differentiate(hip_f, dt)
-    knee_v = differentiate(knee_f, dt)
-    features = np.column_stack(
-        [hip_f, hip_v, differentiate(hip_v, dt), knee_f, knee_v, differentiate(knee_v, dt)]
-    )
+    features = input_features(hip, knee, _LINEAR_FILTER, SYNTH_SAMPLE_RATE_HZ)
     targets = features @ LINEAR_WEIGHTS.T + LINEAR_INTERCEPT
     return targets[:, 0], targets[:, 1]
 

@@ -7,19 +7,21 @@ from oracles import brute_force_svr_dual, masked_scan_smo, rbf
 from gaitreg import (
     ButterworthFilter,
     SynthConfig,
-    apply_normalization,
-    fit_normalization,
     generate,
-    grid_search_svr,
     linear_fit,
     linear_predict,
     svr_fit,
     svr_predict,
 )
-from gaitreg.baselines import fit_svr_baseline, predict_svr_baseline, rbf_kernel
+from gaitreg.baselines import (
+    fit_svr_baseline,
+    grid_search_svr,
+    predict_svr_baseline,
+    rbf_kernel,
+)
 from gaitreg.data import LocomotionMode
 from gaitreg.errors import ConfigError, TrainError
-from gaitreg.preprocessing import trial_features
+from gaitreg.preprocessing import apply_normalization, fit_normalization, trial_features
 from gaitreg.rng import SplitMix64
 
 

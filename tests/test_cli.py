@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gaitreg import init
+from gaitreg.mlp import init
 from gaitreg.rng import SplitMix64, derive_seed
 
 SMALL_CFG = {

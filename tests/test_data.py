@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from gaitreg import (
+from gaitreg import loo_splits
+from gaitreg.data import (
     GaitDataset,
     GaitTrial,
     LocomotionMode,
+    load_dataset_dir,
     load_trial_csv,
-    loo_splits,
+    trial_csv_text,
     write_trial_csv,
 )
-from gaitreg.data import load_dataset_dir, trial_csv_text
 from gaitreg.errors import ConfigError, ParseError, PipelineError
 
 
@@ -102,6 +103,17 @@ class TestCsvRoundTrip:
         text = trial_csv_text(trial)
         path = write_csv_text(tmp_path / "t.csv", text)
         assert trial_csv_text(load_trial_csv(path)) == text
+
+    def test_rows_render_each_sample_with_repr(self):
+        awkward = np.resize([-0.0, 5e-324, 1e300, 0.1 + 0.2], 20)
+        cols = [awkward, awkward[::-1], np.roll(awkward, 1), np.roll(awkward, 2)]
+        trial = GaitTrial("odd", LocomotionMode.StairAscent, 100.0, *cols)
+        rows = trial_csv_text(trial).splitlines()[2:]
+        assert rows == [
+            ",".join([repr(i / 100.0)] + [repr(float(col[i])) for col in cols])
+            for i in range(20)
+        ]
+        assert rows[1] == "0.01,5e-324,1e+300,-0.0,0.30000000000000004"
 
     def test_unknown_mode_rejected(self, tmp_path):
         text = trial_csv_text(make_trial()).replace("mode=NormalWalk", "mode=Jogging")

@@ -4,17 +4,10 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from gaitreg import (
-    GaitDataset,
-    emit_report,
-    load_report,
-    phase_mae_curve,
-    r2_score,
-    rmse,
-    run_loocv,
-)
+from gaitreg import emit_report, r2_score, rmse, run_loocv
+from gaitreg.data import GaitDataset
 from gaitreg.errors import ConfigError, MetricError
-from gaitreg.evaluation import FoldResult, summary_csv_text
+from gaitreg.evaluation import FoldResult, load_report, phase_mae_curve, summary_csv_text
 from gaitreg.rng import SplitMix64
 
 

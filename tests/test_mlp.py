@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from oracles import least_squares_fit, scalar_mlp_forward
 
-from gaitreg import (
+from gaitreg.errors import ConfigError, ParseError, TrainError
+from gaitreg.mlp import (
     MlpModel,
     OptimizerState,
     TrainConfig,
     forward,
+    gradient_check,
     init,
     load_checkpoint,
     loss_and_gradient,
@@ -16,8 +18,6 @@ from gaitreg import (
     sgd_step,
     train,
 )
-from gaitreg.errors import ConfigError, ParseError, TrainError
-from gaitreg.mlp import gradient_check
 from gaitreg.rng import SplitMix64
 
 

@@ -1,0 +1,62 @@
+"""The package's public surface: what ``gaitreg`` exports, and the demos.
+
+``gaitreg.__all__`` is the set of entry points the demos and the README
+use; everything else is imported from its submodule.  Demos 01 and 02 run
+in about a second each and are checked here; demos 03 and 04 run full
+leave-one-out evaluations (about a minute each) and stay manual.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gaitreg
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PUBLIC_NAMES = [
+    "ButterworthFilter",
+    "RunConfig",
+    "SynthConfig",
+    "build_features",
+    "emit_report",
+    "generate",
+    "ground_truth",
+    "linear_fit",
+    "linear_predict",
+    "loo_splits",
+    "lowpass_zero_phase",
+    "r2_score",
+    "rmse",
+    "run_loocv",
+    "spectral_energy_fraction",
+    "svr_fit",
+    "svr_predict",
+]
+
+
+def test_all_lists_exactly_the_public_entry_points():
+    assert sorted(gaitreg.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert callable(getattr(gaitreg, name)), name
+
+
+@pytest.mark.parametrize(
+    "demo", ["01_synthetic_gait_dataset.py", "02_preprocessing_pipeline.py"]
+)
+def test_fast_demo_runs(demo, tmp_path):
+    # the demos write relative to the working directory, so they run in
+    # tmp_path and find the package through an absolute path
+    src = str(Path(gaitreg.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

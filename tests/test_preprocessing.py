@@ -6,17 +6,18 @@ from oracles import butterworth_warped_magnitude, dft_energy_fraction
 
 from gaitreg import (
     ButterworthFilter,
-    GaitDataset,
-    apply_normalization,
     build_features,
-    differentiate,
-    fit_normalization,
-    invert_normalization,
     lowpass_zero_phase,
     spectral_energy_fraction,
 )
 from gaitreg.errors import ConfigError, PreprocessError
-from gaitreg.preprocessing import NormalizationParams, trial_features
+from gaitreg.preprocessing import (
+    NormalizationParams,
+    apply_normalization,
+    differentiate,
+    fit_normalization,
+    trial_features,
+)
 from gaitreg.synth import SynthConfig, generate
 from gaitreg.data import LocomotionMode
 
@@ -178,7 +179,7 @@ class TestNormalization:
     def test_inverse_roundtrip(self):
         rows = np.random.default_rng(2).normal(size=(30, 6)) * 25 + 3
         params = fit_normalization(rows)
-        back = invert_normalization(apply_normalization(rows, params), params)
+        back = apply_normalization(rows, params) * (params.maxs - params.mins) + params.mins
         assert np.abs(back - rows).max() < 1e-12
 
 
@@ -238,22 +239,11 @@ class TestBuildFeatures:
             noise_std_deg=0.0,
             speed_jitter=0.0,
         )
-        dataset = generate(config)
-        trial = dataset.trials[0]
-        features = build_features(
-            dataset, filt, params=NormalizationParams(np.zeros(6), np.ones(6))
-        )
+        trial = generate(config).trials[0]
         from gaitreg.synth import _plan_trial, _series_dphi
 
         plan, _ = _plan_trial(config, LocomotionMode.NormalWalk, 0)
         phi = np.linspace(0.0, 1.0, trial.n_samples)
         analytic = _series_dphi(phi, plan.hip_shape) / trial.duration_s
-        numeric = features.inputs[:, 1]
+        numeric = trial_features(trial, filt)[0][:, 1]
         assert np.abs(numeric[150:-150] - analytic[150:-150]).max() < 1e-2
-
-    def test_fitted_params_reused_for_held_out(self, small_dataset, filt):
-        train = GaitDataset(small_dataset.trials[1:])
-        held = GaitDataset(small_dataset.trials[:1])
-        fitted = build_features(train, filt)
-        held_features = build_features(held, filt, params=fitted.norm_params)
-        assert held_features.norm_params is fitted.norm_params

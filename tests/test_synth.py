@@ -15,6 +15,8 @@ from gaitreg import (
 )
 from gaitreg.data import LocomotionMode
 from gaitreg.errors import ConfigError, PipelineError
+from gaitreg.preprocessing import input_features
+from gaitreg.synth import LINEAR_INTERCEPT, LINEAR_WEIGHTS
 
 ALL_MODES = list(LocomotionMode)
 
@@ -133,6 +135,16 @@ class TestLinearMode:
         model = linear_fit(features.inputs, features.targets)
         residual = linear_predict(model, features.inputs) - features.targets
         assert np.abs(residual).max() < 1e-9
+
+    def test_targets_are_the_pipeline_features_mapped(self):
+        # the generator builds its targets from the same input_features the
+        # pipeline uses, so they match bit for bit, not just to a tolerance
+        dataset = generate(SynthConfig(noise_std_deg=0.0, linear_mode=True))
+        filt = ButterworthFilter.design(6.0, 200.0, 4)
+        for trial in dataset:
+            features = input_features(trial.theta_hip, trial.theta_knee, filt, trial.sample_rate_hz)
+            expected = features @ LINEAR_WEIGHTS.T + LINEAR_INTERCEPT
+            assert np.array_equal(np.column_stack([trial.theta_ankle, trial.tau_ankle]), expected)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
