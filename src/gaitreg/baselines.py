@@ -95,8 +95,6 @@ class SvrModel:
     coef: np.ndarray  # alpha - alpha* for every training row
     bias: float
     gamma: float
-    c: float
-    epsilon: float
     support_vectors: np.ndarray  # rows with nonzero coef
     support_coef: np.ndarray
     converged: bool
@@ -221,8 +219,6 @@ def svr_fit(
         coef=coef,
         bias=bias,
         gamma=float(gamma),
-        c=float(c),
-        epsilon=float(epsilon),
         support_vectors=x[support].copy(),
         support_coef=coef[support].copy(),
         converged=converged,

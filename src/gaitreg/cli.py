@@ -19,11 +19,9 @@ from .data import load_dataset_dir
 from .errors import ConfigError, PipelineError
 from .evaluation import MODEL_SPECS, emit_report, run_loocv, summary_csv_text
 from .ioutil import atomic_write_text
-from .mlp import gradient_check, init
+from .mlp import GRADCHECK_THRESHOLD, gradient_check, init
 from .rng import SplitMix64, derive_seed
 from .synth import export_dataset
-
-GRADCHECK_THRESHOLD = 1e-4
 
 
 def _parse_override(text: str) -> tuple[str, object]:

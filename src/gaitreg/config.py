@@ -31,12 +31,12 @@ def _default_trials() -> dict:
 @dataclass(frozen=True)
 class RunConfig:
     # synthetic data
-    seed: int = 20240
+    seed: int = SynthConfig.seed
     trials_per_mode: dict = field(default_factory=_default_trials)
-    samples_per_trial: int = 122
-    noise_std_deg: float = 0.25
-    speed_jitter: float = 0.05
-    linear_mode: bool = False
+    samples_per_trial: int = SynthConfig.samples_per_trial
+    noise_std_deg: float = SynthConfig.noise_std_deg
+    speed_jitter: float = SynthConfig.speed_jitter
+    linear_mode: bool = SynthConfig.linear_mode
     # preprocessing
     filter_order: int = 4
     cutoff_hz: float = 6.0
@@ -44,13 +44,13 @@ class RunConfig:
     paper_faithful_norm: bool = False
     # shared network
     layer_dims: tuple = DEFAULT_LAYER_DIMS
-    epochs: int = 30
-    learning_rate: float = 1e-4
-    momentum: float = 0.9
-    l2_penalty: float = 1e-2
-    batch_size: int = 16
+    epochs: int = TrainConfig.epochs
+    learning_rate: float = TrainConfig.learning_rate
+    momentum: float = TrainConfig.momentum
+    l2_penalty: float = TrainConfig.l2_penalty
+    batch_size: int = TrainConfig.batch_size
     init_seed: int = 4183
-    shuffle_seed: int = 7140
+    shuffle_seed: int = TrainConfig.shuffle_seed
     # SVR baseline; the svr_grid_* lists, when set, trigger a grid search
     # over trial-level folds that overrides the scalar values.  It runs
     # before LOO on the run's per-trial blocks under pooled min-max scaling,

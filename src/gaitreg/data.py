@@ -94,11 +94,6 @@ class GaitTrial:
     def n_samples(self) -> int:
         return len(self.theta_hip)
 
-    @property
-    def duration_s(self) -> float:
-        """Cycle duration; the trial spans the closed cycle [0, duration]."""
-        return (self.n_samples - 1) / self.sample_rate_hz
-
 
 @dataclass(frozen=True)
 class GaitDataset:

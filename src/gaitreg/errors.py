@@ -6,7 +6,7 @@ class PipelineError(Exception):
 
 
 class ParseError(PipelineError):
-    """Malformed trial CSV, manifest, or checkpoint file."""
+    """Malformed trial CSV file."""
 
 
 class ConfigError(PipelineError):

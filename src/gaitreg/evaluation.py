@@ -13,7 +13,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,15 +67,14 @@ def rmse(y: np.ndarray, y_pred: np.ndarray) -> float:
 
 @dataclass
 class FoldResult:
-    """Held-out metrics for one LOO fold; arrays absent on reloaded reports."""
+    """Held-out metrics and (n, 2) target sequences for one LOO fold."""
 
     trial_id: str
     mode: str
     r2: dict[str, float]
     rmse: dict[str, float]
-    phase: Optional[np.ndarray] = None
-    y_true: Optional[np.ndarray] = None
-    y_pred: Optional[np.ndarray] = None
+    y_true: np.ndarray
+    y_pred: np.ndarray
 
 
 def phase_mae_curve(
@@ -83,20 +82,20 @@ def phase_mae_curve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(grid, mae, se): per-bin mean |error| across trials with standard error.
 
-    Each fold's |error| sequence is linearly resampled onto n_bins points
-    spanning 0..100% phase; mae and se have shape (n_bins, 2) for the two
-    targets.  With a single trial the standard error is zero.
+    Each fold's |error| sequence, its samples evenly spread over 0..100%
+    phase, is linearly resampled onto n_bins points; mae and se have shape
+    (n_bins, 2) for the two targets.  With a single trial the standard
+    error is zero.
     """
     if not folds:
         raise ConfigError("phase_mae_curve needs at least one fold")
     grid = np.linspace(0.0, 100.0, n_bins)
     per_trial = []
     for fold in folds:
-        if fold.phase is None:
-            raise ConfigError(f"fold {fold.trial_id} carries no sequences")
         err = np.abs(fold.y_pred - fold.y_true)
+        phase = np.linspace(0.0, 100.0, len(err))
         per_trial.append(
-            np.column_stack([np.interp(grid, fold.phase, err[:, t]) for t in range(2)])
+            np.column_stack([np.interp(grid, phase, err[:, t]) for t in range(2)])
         )
     stack = np.stack(per_trial)  # (n_trials, n_bins, 2)
     mae = stack.mean(axis=0)
@@ -152,8 +151,8 @@ def _fit_predict(model_spec: str, config: RunConfig, fold_idx: int, x_train, y_t
 
 
 def _run_fold(payload, fold_idx: int) -> FoldResult:
-    dataset, blocks, pooled_params, model_spec, config = payload
-    held = dataset.trials[fold_idx]
+    trials, blocks, pooled_params, model_spec, config = payload
+    trial_id, mode = trials[fold_idx]
     try:
         train_blocks = [b for t, b in enumerate(blocks) if t != fold_idx]
         x_raw = np.concatenate([b[0] for b in train_blocks])
@@ -162,16 +161,14 @@ def _run_fold(payload, fold_idx: int) -> FoldResult:
         x_train = apply_normalization(x_raw, params)
         x_test = apply_normalization(blocks[fold_idx][0], params)
         y_test = blocks[fold_idx][1]
-        phase = blocks[fold_idx][2]
         y_pred = _fit_predict(model_spec, config, fold_idx, x_train, y_train, x_test)
     except PipelineError as exc:
-        raise type(exc)(f"fold {fold_idx} (held-out {held.trial_id!r}): {exc}") from None
+        raise type(exc)(f"fold {fold_idx} (held-out {trial_id!r}): {exc}") from None
     return FoldResult(
-        trial_id=held.trial_id,
-        mode=held.mode.name,
+        trial_id=trial_id,
+        mode=mode,
         r2={k: r2_score(y_test[:, t], y_pred[:, t]) for t, k in enumerate(TARGET_KEYS)},
         rmse={k: rmse(y_test[:, t], y_pred[:, t]) for t, k in enumerate(TARGET_KEYS)},
-        phase=phase,
         y_true=y_test,
         y_pred=y_pred,
     )
@@ -205,7 +202,7 @@ def run_loocv(
         pooled_params = fit_normalization(np.concatenate([b[0] for b in blocks]))
     if grid:
         c, epsilon, gamma = grid_search_svr(
-            [(apply_normalization(x, pooled_params), y) for x, y, _ in blocks],
+            [(apply_normalization(x, pooled_params), y) for x, y in blocks],
             config.svr_grid_c,
             config.svr_grid_epsilon,
             config.svr_grid_gamma,
@@ -215,12 +212,17 @@ def run_loocv(
         )
         # the folds, and the report's config echo, use the chosen values
         config = config.with_overrides({"svr_c": c, "svr_epsilon": epsilon, "svr_gamma": gamma})
-    payload = (dataset, blocks, pooled_params, model_spec, config)
+    # each fold reads only the held-out trial's id and mode, not the dataset
+    trials = [(t.trial_id, t.mode.name) for t in dataset]
+    payload = (trials, blocks, pooled_params, model_spec, config)
 
-    indices = range(len(dataset))
+    n = len(dataset)
+    indices = range(n)
     if jobs > 1:
+        # one contiguous chunk of folds per worker: pickle then stores the
+        # shared payload once per chunk instead of once per fold
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            folds = list(pool.map(_run_fold, [payload] * len(dataset), indices))
+            folds = list(pool.map(_run_fold, [payload] * n, indices, chunksize=-(-n // jobs)))
     else:
         folds = [_run_fold(payload, i) for i in indices]
 
@@ -289,38 +291,6 @@ def report_to_dict(report: EvalReport) -> dict:
         "pooled_rows": report.pooled_rows,
         "missing_modes": report.missing_modes,
     }
-
-
-def load_report(path: str | Path) -> EvalReport:
-    """Rebuild an EvalReport from report.json (fold sequences are not stored)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    modes = {}
-    for name, s in data["modes"].items():
-        modes[name] = ModeSummary(
-            n_trials=s["n_trials"],
-            r2_mean=s["r2_mean"],
-            r2_sd=s["r2_sd"],
-            rmse_mean=s["rmse_mean"],
-            rmse_sd=s["rmse_sd"],
-            phase_mae={
-                "theta": np.asarray(s["phase_mae"]["theta"]),
-                "tau": np.asarray(s["phase_mae"]["tau"]),
-            },
-            phase_se={
-                "theta": np.asarray(s["phase_mae"]["se_theta"]),
-                "tau": np.asarray(s["phase_mae"]["se_tau"]),
-            },
-        )
-    return EvalReport(
-        config=data["config"],
-        model_spec=data["model_spec"],
-        folds=[FoldResult(f["trial_id"], f["mode"], f["r2"], f["rmse"]) for f in data["folds"]],
-        modes=modes,
-        pooled=data["pooled"],
-        pooled_rows=data["pooled_rows"],
-        missing_modes=data["missing_modes"],
-    )
 
 
 def summary_csv_text(report: EvalReport) -> str:

@@ -17,18 +17,18 @@ rectifier subgradient at exactly 0 is taken as 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, TrainError
-from .ioutil import atomic_write_text
+from .errors import ConfigError, TrainError
 from .rng import SplitMix64, derive_seed
 
 DEFAULT_LAYER_DIMS = (6, 100, 100, 100, 2)
+
+# gradient_check passes when every probed relative error is below this
+GRADCHECK_THRESHOLD = 1e-4
 
 
 @dataclass
@@ -213,49 +213,6 @@ def train(
     return model, trace
 
 
-def save_checkpoint(model: MlpModel, config: TrainConfig, path: str | Path) -> Path:
-    """JSON checkpoint: layer dims, row-major weights, biases, train config."""
-    payload = {
-        "layer_dims": list(model.layer_dims),
-        "weights": [w.ravel().tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-        "train_config": {
-            "epochs": config.epochs,
-            "learning_rate": config.learning_rate,
-            "momentum": config.momentum,
-            "l2_penalty": config.l2_penalty,
-            "batch_size": config.batch_size,
-            "shuffle_seed": config.shuffle_seed,
-        },
-    }
-    return atomic_write_text(path, json.dumps(payload, sort_keys=True))
-
-
-def load_checkpoint(path: str | Path) -> tuple[MlpModel, TrainConfig]:
-    """Inverse of save_checkpoint; a malformed file raises ParseError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: checkpoint is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ParseError(f"{path}: checkpoint must be a JSON object, got {type(payload).__name__}")
-    missing = {"layer_dims", "weights", "biases", "train_config"} - set(payload)
-    if missing:
-        raise ParseError(f"{path}: checkpoint lacks {sorted(missing)}")
-    dims = tuple(payload["layer_dims"])
-    shapes = list(zip(dims[1:], dims[:-1]))  # (fan_out, fan_in) per layer
-    weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]
-    biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
-    got = ([w.shape for w in weights], [b.shape for b in biases])
-    if got != ([(o * i,) for o, i in shapes], [(o,) for o, _ in shapes]):
-        raise ParseError(
-            f"{path}: weight and bias shapes {got} do not match layer_dims {list(dims)}"
-        )
-    weights = [w.reshape(shape) for w, shape in zip(weights, shapes)]
-    return MlpModel(dims, weights, biases), TrainConfig(**payload["train_config"])
-
-
 def gradient_check(
     model: MlpModel,
     x: np.ndarray,
@@ -270,7 +227,7 @@ def gradient_check(
     For each parameter tensor, up to samples_per_tensor entries are probed.
     Relative error per entry is |fd - g| / max(|g|, |fd|, 1e-3); the floor
     makes an absolute error of 1e-7 on a near-zero gradient count as 1e-4.
-    Returns (all entries below 1e-4, max relative error).
+    Returns (all entries below GRADCHECK_THRESHOLD, max relative error).
     """
     _, (grad_w, grad_b) = loss_and_gradient(model, x, y, l2_penalty)
     tensors = [(model.weights[l], grad_w[l]) for l in range(model.n_layers())]
@@ -294,4 +251,4 @@ def gradient_check(
             fd = (lo_hi - lo_lo) / (2.0 * step)
             rel = abs(fd - gflat[idx]) / max(abs(gflat[idx]), abs(fd), 1e-3)
             max_rel = max(max_rel, rel)
-    return max_rel < 1e-4, max_rel
+    return max_rel < GRADCHECK_THRESHOLD, max_rel

@@ -271,8 +271,8 @@ def input_features(
 
 def trial_features(
     trial: GaitTrial, filt: ButterworthFilter, filter_targets: bool = True
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unnormalized (inputs, targets, phase) for a single trial."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized (inputs, targets) for a single trial."""
     filt = filt.with_sample_rate(trial.sample_rate_hz)
     inputs = input_features(trial.theta_hip, trial.theta_knee, filt, trial.sample_rate_hz)
     if filter_targets:
@@ -281,9 +281,7 @@ def trial_features(
     else:
         ankle = np.asarray(trial.theta_ankle, dtype=np.float64)
         tau = np.asarray(trial.tau_ankle, dtype=np.float64)
-    targets = np.column_stack([ankle, tau])
-    phase = np.linspace(0.0, 100.0, trial.n_samples)
-    return inputs, targets, phase
+    return inputs, np.column_stack([ankle, tau])
 
 
 def build_features(

@@ -162,31 +162,23 @@ def stance_window(phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ankle_maps(mode, hip, knee, hip_vel, knee_vel):
-    uh = hip / 30.0
-    uk = knee / 40.0
-    vh = hip_vel / 300.0
-    vk = knee_vel / 400.0
-    c = ANKLE_COEF[mode]
-    theta = (
+def _state_map(c, uh, uk, vh, vk, w_hip, w_knee):
+    """c0 + c1*uh + c2*uk + c3*vh + c4*vk + c5*uh*uk + c6*sin(w_hip*uh + w_knee*uk + c7)."""
+    return (
         c[0]
         + c[1] * uh
         + c[2] * uk
         + c[3] * vh
         + c[4] * vk
         + c[5] * uh * uk
-        + c[6] * np.sin(1.7 * uh - 1.1 * uk + c[7])
+        + c[6] * np.sin(w_hip * uh + w_knee * uk + c[7])
     )
-    d = TAU_COEF[mode]
-    tau = (
-        d[0]
-        + d[1] * uh
-        + d[2] * uk
-        + d[3] * vh
-        + d[4] * vk
-        + d[5] * uh * uk
-        + d[6] * np.sin(1.3 * uk + 0.9 * uh + d[7])
-    )
+
+
+def _ankle_maps(mode, hip, knee, hip_vel, knee_vel):
+    states = (hip / 30.0, knee / 40.0, hip_vel / 300.0, knee_vel / 400.0)
+    theta = _state_map(ANKLE_COEF[mode], *states, 1.7, -1.1)
+    tau = _state_map(TAU_COEF[mode], *states, 0.9, 1.3)
     return theta, tau
 
 

@@ -239,7 +239,7 @@ class TestGridSearch:
         filt = ButterworthFilter.design(6.0, 200.0, 4)
         blocks = [trial_features(t, filt, filter_targets=False) for t in dataset]
         params = fit_normalization(np.concatenate([b[0] for b in blocks]))
-        return [(apply_normalization(x, params), y) for x, y, _ in blocks]
+        return [(apply_normalization(x, params), y) for x, y in blocks]
 
     @staticmethod
     def _mean_rmse(blocks, fit_fn, predict_fn, n_folds=2):

@@ -36,7 +36,6 @@ class TestGaitTrial:
     def test_valid_construction(self):
         trial = make_trial()
         assert trial.n_samples == 120
-        assert trial.duration_s == pytest.approx(119 / 200.0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="column length mismatch"):

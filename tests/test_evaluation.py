@@ -7,7 +7,7 @@ import pytest
 from gaitreg import emit_report, r2_score, rmse, run_loocv
 from gaitreg.data import GaitDataset
 from gaitreg.errors import ConfigError, MetricError
-from gaitreg.evaluation import FoldResult, load_report, phase_mae_curve, summary_csv_text
+from gaitreg.evaluation import FoldResult, phase_mae_curve, summary_csv_text
 from gaitreg.rng import SplitMix64
 
 
@@ -66,7 +66,6 @@ def make_fold(trial_id, err_theta, err_tau, n=50):
         mode="NormalWalk",
         r2={"theta": 1.0, "tau": 1.0},
         rmse={"theta": abs(err_theta), "tau": abs(err_tau)},
-        phase=phase,
         y_true=y_true,
         y_pred=y_pred,
     )
@@ -189,7 +188,7 @@ class TestRunLoocv:
         grid, mae, _ = phase_mae_curve(folds)
         pooled_err = np.mean([np.abs(f.y_pred - f.y_true) for f in folds], axis=0)
         direct = np.column_stack(
-            [np.interp(grid, folds[0].phase, pooled_err[:, t]) for t in range(2)]
+            [np.interp(grid, np.linspace(0, 100, 50), pooled_err[:, t]) for t in range(2)]
         )
         assert np.abs(mae - direct).max() < 1e-12
 
@@ -219,15 +218,6 @@ class TestEmitReport:
         assert len(lines) == 1 + 10
         assert lines[1].startswith("NormalWalk,theta,")
         assert lines[2].startswith("NormalWalk,tau,")
-
-    def test_json_round_trip_to_identical_csv(self, report, tmp_path):
-        emit_report(report, tmp_path)
-        loaded = load_report(tmp_path / "report.json")
-        assert summary_csv_text(loaded) == summary_csv_text(report)
-        emit_report(loaded, tmp_path / "again")
-        assert (tmp_path / "again" / "summary.csv").read_bytes() == (
-            tmp_path / "summary.csv"
-        ).read_bytes()
 
     def test_json_schema_fields(self, report, tmp_path):
         emit_report(report, tmp_path)

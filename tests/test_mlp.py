@@ -1,10 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 from oracles import least_squares_fit, scalar_mlp_forward
 
-from gaitreg.errors import ConfigError, ParseError, TrainError
+from gaitreg.errors import ConfigError, TrainError
 from gaitreg.mlp import (
     MlpModel,
     OptimizerState,
@@ -12,9 +10,7 @@ from gaitreg.mlp import (
     forward,
     gradient_check,
     init,
-    load_checkpoint,
     loss_and_gradient,
-    save_checkpoint,
     sgd_step,
     train,
 )
@@ -243,50 +239,3 @@ class TestProperties:
         model.biases[0][4] *= c
         model.weights[1][:, 4] /= c
         assert np.abs(forward(model, x) - base).max() < 1e-9
-
-
-def _edited(edit):
-    """Checkpoint corruption that edits the payload, then serializes it."""
-
-    def text(payload):
-        edit(payload)
-        return json.dumps(payload)
-
-    return text
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        model = init((6, 10, 2), 30)
-        cfg = TrainConfig(epochs=7, shuffle_seed=123)
-        path = save_checkpoint(model, cfg, tmp_path / "model.json")
-        loaded, loaded_cfg = load_checkpoint(path)
-        assert loaded.layer_dims == model.layer_dims
-        assert loaded_cfg == cfg
-        x, _ = random_batch(80, n=4)
-        assert np.array_equal(forward(loaded, x), forward(model, x))
-
-    @pytest.mark.parametrize(
-        "corrupt, message",
-        [
-            (_edited(lambda p: p.pop("weights")), r"lacks \['weights'\]"),
-            (_edited(lambda p: p["weights"].pop()), "do not match layer_dims"),
-            (_edited(lambda p: p["weights"][0].pop()), r"\(59,\).*do not match"),
-            (_edited(lambda p: p["biases"][1].append(0.0)), r"\(3,\)\]\) do not match"),
-            (lambda p: json.dumps(p)[:-20], "model.json: checkpoint is not valid JSON"),
-            (lambda p: json.dumps([p]), "model.json: checkpoint must be a JSON object, got list"),
-        ],
-        ids=[
-            "no-weights",
-            "missing-layer",
-            "short-weights",
-            "long-biases",
-            "truncated",
-            "top-level-list",
-        ],
-    )
-    def test_malformed_file_raises_parse_error(self, tmp_path, corrupt, message):
-        path = save_checkpoint(init((6, 10, 2), 30), TrainConfig(), tmp_path / "model.json")
-        path.write_text(corrupt(json.loads(path.read_text())))
-        with pytest.raises(ParseError, match=message):
-            load_checkpoint(path)
