@@ -161,21 +161,29 @@ def _parse_meta_line(line: str, path: Path) -> tuple[str, LocomotionMode, float]
         if key.strip() != expect:
             raise ParseError(f"{path}: line 1 expected key {expect!r}, got {key.strip()!r}")
         values[expect] = value.strip()
-    mode = LocomotionMode.parse(values["mode"])
+    try:
+        mode = LocomotionMode.parse(values["mode"])
+    except ParseError as exc:
+        raise ParseError(f"{path}: line 1 {exc}") from None
     try:
         fs = float(values["sample_rate_hz"])
     except ValueError:
         raise ParseError(
             f"{path}: line 1 sample_rate_hz {values['sample_rate_hz']!r} is not numeric"
         ) from None
+    if not (fs > 0.0 and np.isfinite(fs)):
+        raise ParseError(f"{path}: line 1 sample_rate_hz {fs!r} must be positive and finite")
     return values["trial_id"], mode, fs
 
 
 def load_trial_csv(path: str | Path) -> GaitTrial:
     """Read one trial file; raises ParseError naming the offending row/column."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} is not valid UTF-8") from None
     if len(lines) < 3:
         raise ParseError(f"{path}: file needs a metadata line, a header, and data rows")
     trial_id, mode, fs = _parse_meta_line(lines[0], path)
@@ -252,9 +260,21 @@ def write_trial_csv(trial: GaitTrial, path: str | Path) -> Path:
 
 
 def load_dataset_dir(directory: str | Path) -> GaitDataset:
-    """Load every *.csv in a directory (sorted by filename) as one dataset."""
+    """Load every *.csv in a directory (sorted by filename) as one dataset.
+
+    A trial_id used by two files is a ParseError naming both.
+    """
     directory = Path(directory)
     paths = sorted(directory.glob("*.csv"))
     if not paths:
         raise PipelineError(f"no trials found in {directory}")
-    return GaitDataset(tuple(load_trial_csv(p) for p in paths))
+    first_path = {}
+    trials = []
+    for path in paths:
+        trial = load_trial_csv(path)
+        other = first_path.get(trial.trial_id)
+        if other is not None:
+            raise ParseError(f"{path}: trial_id {trial.trial_id!r} is already used by {other}")
+        first_path[trial.trial_id] = path
+        trials.append(trial)
+    return GaitDataset(tuple(trials))

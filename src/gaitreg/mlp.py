@@ -13,10 +13,22 @@ and the objective is
 with the penalty on weights only, biases excluded.  All randomness
 (initial weights, epoch shuffles) flows through gaitreg.rng streams; the
 rectifier subgradient at exactly 0 is taken as 0.
+
+train runs its own lean step instead of one loss_and_gradient + sgd_step
+pair per batch.  It keeps one flat float64 buffer each for the parameters,
+the gradients and the velocities (all weights, then all biases); the layers
+work on reshaped views of them, and the per-batch activations live in
+preallocated buffers.  The gradient is computed in loss_and_gradient's
+order, by the same forward/backward core, and the momentum update is four
+elementwise passes over every parameter at once.  Elementwise arithmetic
+does not depend on how the arrays are grouped, so the trained weights equal
+the per-layer loop's bit for bit.  The results are copied back into the
+model's own arrays when training ends.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -98,20 +110,53 @@ def init(layer_dims: Sequence[int] = DEFAULT_LAYER_DIMS, init_seed: int = 1) -> 
     return MlpModel(dims, weights, biases)
 
 
-def _forward_pass(model: MlpModel, x: np.ndarray):
-    """Returns (activations per layer including input, pre-activations)."""
-    acts = [x]
-    pres = []
-    h = x
-    last = model.n_layers() - 1
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w.T + b
-        if not np.all(np.isfinite(z)):
+def _buffers(layer_dims: Sequence[int], rows: int):
+    """Per-layer (pre-activations, activations, deltas) for a batch of rows.
+
+    acts[0] is left for the caller to point at the batch; the output
+    layer's activation is its pre-activation buffer.
+    """
+    pres = [np.empty((rows, d)) for d in layer_dims[1:]]
+    acts = [None] + [np.empty((rows, d)) for d in layer_dims[1:-1]] + [pres[-1]]
+    deltas = [np.empty((rows, d)) for d in layer_dims[1:]]
+    return pres, acts, deltas
+
+
+def _forward_layers(weights, biases, acts, pres) -> None:
+    """Fill pres[l] and acts[l + 1] in place from the batch in acts[0]."""
+    last = len(weights) - 1
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        z = np.matmul(acts[l], w.T, out=pres[l])
+        z += b
+        if not np.isfinite(z).all():
             raise TrainError(f"non-finite values at layer {l}")
-        pres.append(z)
-        h = z if l == last else np.maximum(z, 0.0)
-        acts.append(h)
-    return acts, pres
+        if l < last:
+            np.maximum(z, 0.0, out=acts[l + 1])
+
+
+def _backward_layers(weights, acts, pres, deltas, grad_w, grad_b, l2_penalty) -> None:
+    """Objective gradients, L2 term included, by reverse accumulation.
+
+    deltas[-1] holds d(data loss)/d(output) on entry; the other delta
+    buffers are overwritten.  grad_w and grad_b are written in place.
+    """
+    delta = deltas[-1]
+    for l in range(len(weights) - 1, -1, -1):
+        if l < len(weights) - 1:
+            delta *= pres[l] > 0.0  # rectifier subgradient, 0 at 0
+        np.matmul(delta.T, acts[l], out=grad_w[l])
+        grad_w[l] += l2_penalty * weights[l]
+        np.add.reduce(delta, axis=0, out=grad_b[l])
+        if l > 0:
+            delta = np.matmul(delta, weights[l], out=deltas[l - 1])
+
+
+def _forward_pass(model: MlpModel, x: np.ndarray):
+    """Returns (activations per layer including input, pre-activations, deltas)."""
+    pres, acts, deltas = _buffers(model.layer_dims, x.shape[0])
+    acts[0] = x
+    _forward_layers(model.weights, model.biases, acts, pres)
+    return acts, pres, deltas
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -124,7 +169,7 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
         x = x[None, :]
     if x.shape[1] != model.layer_dims[0]:
         raise ConfigError(f"input width {x.shape[1]} != model input {model.layer_dims[0]}")
-    acts, _ = _forward_pass(model, x)
+    acts, _, _ = _forward_pass(model, x)
     out = acts[-1]
     return out[0] if single else out
 
@@ -138,21 +183,15 @@ def loss_and_gradient(
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ConfigError(f"batch shapes {x.shape} / {y.shape} do not align")
     n = x.shape[0]
-    acts, pres = _forward_pass(model, x)
-    resid = acts[-1] - y
+    acts, pres, deltas = _forward_pass(model, x)
+    resid = np.subtract(acts[-1], y, out=deltas[-1])
     data_loss = 0.5 * float(np.sum(resid**2)) / n
     reg_loss = 0.5 * l2_penalty * sum(float(np.sum(w**2)) for w in model.weights)
 
-    grad_w = [np.empty(0)] * model.n_layers()
-    grad_b = [np.empty(0)] * model.n_layers()
-    delta = resid / n
-    for l in range(model.n_layers() - 1, -1, -1):
-        if l < model.n_layers() - 1:
-            delta = delta * (pres[l] > 0.0)  # rectifier subgradient, 0 at 0
-        grad_w[l] = delta.T @ acts[l] + l2_penalty * model.weights[l]
-        grad_b[l] = delta.sum(axis=0)
-        if l > 0:
-            delta = delta @ model.weights[l]
+    resid /= n
+    grad_w = [np.empty_like(w) for w in model.weights]
+    grad_b = [np.empty_like(b) for b in model.biases]
+    _backward_layers(model.weights, acts, pres, deltas, grad_w, grad_b, l2_penalty)
     return data_loss + reg_loss, (grad_w, grad_b)
 
 
@@ -187,30 +226,76 @@ def train(
     Rows are reshuffled every epoch with the stream seeded from
     (shuffle_seed, epoch); the final partial batch is kept.  The returned
     trace holds one value per epoch: the batch-size-weighted mean of the
-    objective over that epoch's mini-batches.
+    objective over that epoch's mini-batches.  The model's arrays are
+    updated in place; after a TrainError they hold the weights from before
+    the failing batch.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape[0] == 0:
         raise ConfigError("training set is empty")
+    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ConfigError(f"training shapes {x.shape} / {y.shape} do not align")
     n = x.shape[0]
-    state = OptimizerState.zeros_like(model)
+    l2 = config.l2_penalty
+    layers = model.n_layers()
+    params = model.weights + model.biases
+    theta = np.concatenate([p.ravel() for p in params])
+    grad = np.empty_like(theta)
+    vel = np.zeros_like(theta)
+    theta_views, grad_views = _views(theta, params), _views(grad, params)
+    weights, biases = theta_views[:layers], theta_views[layers:]
+    grad_w, grad_b = grad_views[:layers], grad_views[layers:]
+    theta_w = theta[: sum(w.size for w in weights)]
+
+    # every batch but a partial last one has min(batch_size, n) rows
+    batch_rows = {min(config.batch_size, n), n % config.batch_size} - {0}
+    spaces = {m: _buffers(model.layer_dims, m) for m in batch_rows}
     trace = []
-    for epoch in range(config.epochs):
-        perm = SplitMix64(derive_seed(config.shuffle_seed, epoch)).permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            rows = perm[start : start + config.batch_size]
-            try:
-                loss, grads = loss_and_gradient(model, x[rows], y[rows], config.l2_penalty)
-            except TrainError as exc:
-                raise TrainError(f"training diverged at epoch {epoch}: {exc}") from None
-            if not np.isfinite(loss):
-                raise TrainError(f"training diverged at epoch {epoch}: loss {loss}")
-            sgd_step(model, state, grads, config)
-            epoch_loss += loss * len(rows)
-        trace.append(epoch_loss / n)
+    try:
+        for epoch in range(config.epochs):
+            perm = SplitMix64(derive_seed(config.shuffle_seed, epoch)).permutation(n)
+            xs, ys = x[perm], y[perm]
+            epoch_loss = 0.0
+            for start in range(0, n, config.batch_size):
+                xb = xs[start : start + config.batch_size]
+                m = xb.shape[0]
+                pres, acts, deltas = spaces[m]
+                acts[0] = xb
+                try:
+                    _forward_layers(weights, biases, acts, pres)
+                except TrainError as exc:
+                    raise TrainError(f"training diverged at epoch {epoch}: {exc}") from None
+                resid = np.subtract(pres[-1], ys[start : start + m], out=deltas[-1]).ravel()
+                # einsum, not BLAS dot: OpenBLAS threads a dot of over 10k
+                # entries, and a busy second core then stalls the step
+                loss = 0.5 * float(np.einsum("i,i->", resid, resid)) / m
+                loss += 0.5 * l2 * float(np.einsum("i,i->", theta_w, theta_w))
+                if not math.isfinite(loss):
+                    raise TrainError(f"training diverged at epoch {epoch}: loss {loss}")
+                deltas[-1] /= m
+                _backward_layers(weights, acts, pres, deltas, grad_w, grad_b, l2)
+                # the momentum update in the same arithmetic as sgd_step
+                vel *= config.momentum
+                grad *= config.learning_rate
+                vel -= grad
+                theta += vel
+                epoch_loss += loss * m
+            trace.append(epoch_loss / n)
+    finally:
+        for p, v in zip(params, theta_views):
+            p[...] = v
     return model, trace
+
+
+def _views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Consecutive slices of flat, reshaped like each array in turn."""
+    views = []
+    start = 0
+    for a in like:
+        views.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return views
 
 
 def gradient_check(

@@ -89,11 +89,11 @@ class SplitMix64:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n)
         if n < 2:
-            return perm
-        u = self.uniform_block(n - 1)
-        for i in range(n - 1, 0, -1):
-            j = int(u[n - 1 - i] * (i + 1))
+            return np.arange(n)
+        # swap k exchanges position i = n - 1 - k with floor(u_k * (i + 1))
+        swaps = (self.uniform_block(n - 1) * np.arange(n, 1, -1)).astype(np.int64).tolist()
+        perm = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), swaps):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm)

@@ -2,12 +2,16 @@
 
 Everything here is deliberately written as a second route to the same
 answers: plain formulas and brute-force solvers that share no code with
-the package internals they check.
+the package internals they check, and the slower loops that speed-ups
+replaced, which the new code must match bit for bit.
 """
 
 from math import pi, tan
 
 import numpy as np
+
+from gaitreg.mlp import OptimizerState, loss_and_gradient, sgd_step
+from gaitreg.rng import SplitMix64, derive_seed
 
 
 def butterworth_warped_magnitude(freq_hz: float, cutoff_hz: float, fs: float, order: int) -> float:
@@ -188,3 +192,41 @@ def masked_scan_smo(x, y, c, epsilon, gamma, tol, max_updates):
     else:
         bias = float((m_up + m_low) / 2.0) if np.isfinite(m_up + m_low) else 0.0
     return coef, bias, n_updates, converged
+
+
+def scalar_loop_permutation(stream, n):
+    """Fisher-Yates on a numpy array, one swap index computed per step.
+
+    The loop gaitreg.rng.SplitMix64.permutation replaced; it must produce
+    the same permutation from the same stream state.
+    """
+    perm = np.arange(n)
+    if n < 2:
+        return perm
+    u = stream.uniform_block(n - 1)
+    for i in range(n - 1, 0, -1):
+        j = int(u[n - 1 - i] * (i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def reference_train(model, x, y, config):
+    """Mini-batch SGD as one loss_and_gradient + sgd_step pair per batch.
+
+    Per-layer gradients and updates on the model's own arrays, batches
+    gathered by fancy indexing.  gaitreg.mlp.train must reach the same
+    weights bit for bit.  Returns (model, per-epoch trace).
+    """
+    n = x.shape[0]
+    state = OptimizerState.zeros_like(model)
+    trace = []
+    for epoch in range(config.epochs):
+        perm = scalar_loop_permutation(SplitMix64(derive_seed(config.shuffle_seed, epoch)), n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            rows = perm[start : start + config.batch_size]
+            loss, grads = loss_and_gradient(model, x[rows], y[rows], config.l2_penalty)
+            sgd_step(model, state, grads, config)
+            epoch_loss += loss * len(rows)
+        trace.append(epoch_loss / n)
+    return model, trace

@@ -145,6 +145,33 @@ class TestLoocv:
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: ") and "row 6, column 'theta_hip_deg'" in line
 
+    @pytest.mark.parametrize("mutation", ["non_utf8", "zero_rate", "unknown_mode", "duplicate_id"])
+    def test_bad_trial_file_fails_with_one_error_line_naming_it(
+        self, synth_dir, tmp_path, mutation
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir / "data", data)
+        first, second = sorted(data.glob("*.csv"))[:2]
+        text = second.read_text()
+        meta = text.splitlines()[0]
+        if mutation == "non_utf8":
+            second.write_bytes(text.encode("utf-8") + b"\xff\n")
+        elif mutation == "zero_rate":
+            fs = meta.rpartition("=")[2]
+            second.write_text(text.replace(meta, meta.replace(f"={fs}", "=0.0"), 1))
+        elif mutation == "unknown_mode":
+            mode = meta.split(",")[1]
+            second.write_text(text.replace(mode, "mode=Jogging", 1))
+        else:
+            first_id = first.read_text().split(",")[0]
+            second.write_text(text.replace(meta.split(",")[0], first_id, 1))
+        proc = run_cli(
+            "loocv", "--data", str(data), "--model", "linear", "--out", str(tmp_path / "rep"),
+        )
+        assert proc.returncode == 1
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and second.name in line
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_config_error(self, synth_dir, tmp_path, jobs):
         proc = run_cli(

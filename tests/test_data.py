@@ -162,6 +162,25 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="uniform spacing"):
             load_trial_csv(path)
 
+    def test_non_utf8_file_names_path(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(trial_csv_text(make_trial()).encode("utf-8") + b"\xff\n")
+        with pytest.raises(ParseError, match="bad.csv: byte .* not valid UTF-8"):
+            load_trial_csv(path)
+
+    @pytest.mark.parametrize("rate", ["0.0", "-200.0", "nan", "inf"])
+    def test_unusable_sample_rate_names_path(self, tmp_path, rate):
+        text = trial_csv_text(make_trial()).replace("rate_hz=200.0", f"rate_hz={rate}")
+        path = write_csv_text(tmp_path / "bad.csv", text)
+        with pytest.raises(ParseError, match="bad.csv: line 1 sample_rate_hz .* positive"):
+            load_trial_csv(path)
+
+    def test_duplicate_ids_across_files_name_both(self, tmp_path):
+        write_trial_csv(make_trial("a"), tmp_path / "a.csv")
+        write_trial_csv(make_trial("a"), tmp_path / "b.csv")
+        with pytest.raises(ParseError, match="b.csv: trial_id 'a' is already used by .*a.csv"):
+            load_dataset_dir(tmp_path)
+
     def test_load_dataset_dir_sorted_and_empty(self, tmp_path):
         write_trial_csv(make_trial("b"), tmp_path / "b.csv")
         write_trial_csv(make_trial("a"), tmp_path / "a.csv")

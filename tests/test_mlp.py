@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from oracles import least_squares_fit, scalar_mlp_forward
+from oracles import least_squares_fit, reference_train, scalar_mlp_forward
 
 from gaitreg.errors import ConfigError, TrainError
 from gaitreg.mlp import (
+    DEFAULT_LAYER_DIMS,
     MlpModel,
     OptimizerState,
     TrainConfig,
@@ -210,6 +211,39 @@ class TestTrain:
         cfg = TrainConfig(epochs=50, learning_rate=1e6)
         with pytest.raises(TrainError, match="epoch"):
             train(init((6, 10, 2), 3), x, y * 1e3, cfg)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_pre_activation_names_epoch_and_layer(self):
+        x, y = random_batch(61, n=8)
+        model = init((6, 10, 2), 3)
+        model.weights[1][0, :] = 1e308
+        with pytest.raises(TrainError, match="epoch 0: non-finite values at layer 1"):
+            train(model, x * 1e3, y, TrainConfig(epochs=2))
+
+    @pytest.mark.parametrize(
+        "dims, n, overrides",
+        [
+            ((6, 2), 48, {}),
+            ((6, 10, 2), 48, {}),
+            (DEFAULT_LAYER_DIMS, 48, {}),
+            ((6, 10, 2), 45, {}),  # partial final batch of 13 rows
+            ((6, 10, 2), 9, {"batch_size": 1}),
+            ((6, 10, 2), 12, {"batch_size": 40}),
+            ((6, 10, 2), 45, {"momentum": 0.0}),
+            ((6, 10, 2), 45, {"l2_penalty": 0.0}),
+        ],
+    )
+    def test_bit_identical_to_per_layer_reference(self, dims, n, overrides):
+        x, y = random_batch(80, n=n)
+        cfg = TrainConfig(epochs=3, learning_rate=1e-3, **overrides)
+        model = init(dims, 4)
+        arrays = model.weights + model.biases
+        got, trace = train(model, x, y, cfg)
+        want, want_trace = reference_train(init(dims, 4), x, y, cfg)
+        assert all(a is b for a, b in zip(got.weights + got.biases, arrays))
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
+        assert trace == pytest.approx(want_trace, rel=1e-12, abs=0.0)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError, match="empty"):

@@ -1,4 +1,6 @@
 import numpy as np
+import pytest
+from oracles import scalar_loop_permutation
 
 from gaitreg.rng import SplitMix64, derive_seed, mix64
 
@@ -40,6 +42,16 @@ def test_permutation_is_a_permutation():
     perm = SplitMix64(4).permutation(257)
     assert sorted(perm.tolist()) == list(range(257))
     assert not np.array_equal(perm, np.arange(257))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 489, 4870])
+def test_permutation_matches_scalar_loop(n):
+    for seed in range(20):
+        ours, theirs = SplitMix64(seed), SplitMix64(seed)
+        got = ours.permutation(n)
+        want = scalar_loop_permutation(theirs, n)
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+        assert ours.uniform() == theirs.uniform()  # same draws consumed
 
 
 def test_derive_seed_order_sensitivity():
