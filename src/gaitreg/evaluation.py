@@ -31,10 +31,12 @@ from .ioutil import atomic_write_text
 from .mlp import forward, init, train
 from .preprocessing import (
     ButterworthFilter,
+    NormalizationParams,
     apply_normalization,
-    fit_normalization,
-    trial_features,
+    feature_blocks,
 )
+# not called here; bound so perfbench/tracer.py can patch them by name
+from .preprocessing import fit_normalization, trial_features  # noqa: F401
 from .rng import derive_seed
 from .svgplot import band_plot_svg
 
@@ -52,7 +54,8 @@ def r2_score(y: np.ndarray, y_pred: np.ndarray) -> float:
     if len(y) != len(y_pred) or len(y) < 2:
         raise MetricError(f"need two equal-length sequences of >= 2 values, got {len(y)}")
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
+    # a filtered constant keeps rounding noise, so zero is judged on y's scale
+    if ss_tot <= len(y) * (1e-10 * float(np.abs(y).max())) ** 2:
         raise MetricError("R^2 is undefined for a constant target sequence")
     return 1.0 - float(np.sum((y - y_pred) ** 2)) / ss_tot
 
@@ -150,27 +153,33 @@ def _fit_predict(model_spec: str, config: RunConfig, fold_idx: int, x_train, y_t
     raise ConfigError(f"unknown model spec {model_spec!r}; choose from {MODEL_SPECS}")
 
 
+def _fold_params(mins: np.ndarray, maxs: np.ndarray, fold_idx: int) -> NormalizationParams:
+    """fit_normalization of every trial's rows but fold_idx's, from per-trial extrema."""
+    keep = np.arange(len(mins)) != fold_idx
+    return NormalizationParams(mins[keep].min(axis=0), maxs[keep].max(axis=0))
+
+
 def _run_fold(payload, fold_idx: int) -> FoldResult:
-    trials, blocks, pooled_params, model_spec, config = payload
+    trials, blocks, mins, maxs, pooled_params, model_spec, config = payload
     trial_id, mode = trials[fold_idx]
     try:
         train_blocks = [b for t, b in enumerate(blocks) if t != fold_idx]
         x_raw = np.concatenate([b[0] for b in train_blocks])
         y_train = np.concatenate([b[1] for b in train_blocks])
-        params = pooled_params if config.paper_faithful_norm else fit_normalization(x_raw)
+        if config.paper_faithful_norm:
+            params = pooled_params
+        else:
+            params = _fold_params(mins, maxs, fold_idx)
         x_train = apply_normalization(x_raw, params)
         x_test = apply_normalization(blocks[fold_idx][0], params)
         y_test = blocks[fold_idx][1]
         y_pred = _fit_predict(model_spec, config, fold_idx, x_train, y_train, x_test)
+        r2 = {k: r2_score(y_test[:, t], y_pred[:, t]) for t, k in enumerate(TARGET_KEYS)}
+        err = {k: rmse(y_test[:, t], y_pred[:, t]) for t, k in enumerate(TARGET_KEYS)}
     except PipelineError as exc:
         raise type(exc)(f"fold {fold_idx} (held-out {trial_id!r}): {exc}") from None
     return FoldResult(
-        trial_id=trial_id,
-        mode=mode,
-        r2={k: r2_score(y_test[:, t], y_pred[:, t]) for t, k in enumerate(TARGET_KEYS)},
-        rmse={k: rmse(y_test[:, t], y_pred[:, t]) for t, k in enumerate(TARGET_KEYS)},
-        y_true=y_test,
-        y_pred=y_pred,
+        trial_id=trial_id, mode=mode, r2=r2, rmse=err, y_true=y_test, y_pred=y_pred
     )
 
 
@@ -179,12 +188,15 @@ def run_loocv(
 ) -> EvalReport:
     """Train/evaluate one model spec across every leave-one-out fold.
 
-    Per-trial filtering is computed once and shared by all folds; min-max
-    scaling is fitted per fold on the training trials only, or on the
-    pooled data when config.paper_faithful_norm is set.  The optional SVR
-    grid search runs before LOO on the same per-trial blocks under pooled
-    scaling, so every held-out trial influences the chosen
-    hyperparameters.  Results are deterministic for fixed seeds and
+    Every trial is filtered in one batched pass (feature_blocks) and the
+    unscaled blocks are shared by all folds.  Min-max scaling is fitted per
+    fold on the training trials only, or on the pooled data when
+    config.paper_faithful_norm is set; either way it comes from each
+    trial's column mins and maxes, computed once, so a fold's fit costs
+    O(trials) instead of O(rows) and gives fit_normalization's exact bits.
+    The optional SVR grid search runs before LOO on the same per-trial
+    blocks under pooled scaling, so every held-out trial influences the
+    chosen hyperparameters.  Results are deterministic for fixed seeds and
     independent of the job count.
     """
     if model_spec not in MODEL_SPECS:
@@ -195,11 +207,13 @@ def run_loocv(
     base_filter = ButterworthFilter.design(
         config.cutoff_hz, dataset.trials[0].sample_rate_hz, config.filter_order
     )
-    blocks = [trial_features(t, base_filter, config.filter_targets) for t in dataset]
+    blocks = feature_blocks(dataset, base_filter, config.filter_targets)
+    mins = np.array([x.min(axis=0) for x, _ in blocks])
+    maxs = np.array([x.max(axis=0) for x, _ in blocks])
     grid = model_spec == "svr" and config.svr_grid_c is not None
     pooled_params = None
     if config.paper_faithful_norm or grid:
-        pooled_params = fit_normalization(np.concatenate([b[0] for b in blocks]))
+        pooled_params = NormalizationParams(mins.min(axis=0), maxs.max(axis=0))
     if grid:
         c, epsilon, gamma = grid_search_svr(
             [(apply_normalization(x, pooled_params), y) for x, y in blocks],
@@ -214,7 +228,7 @@ def run_loocv(
         config = config.with_overrides({"svr_c": c, "svr_epsilon": epsilon, "svr_gamma": gamma})
     # each fold reads only the held-out trial's id and mode, not the dataset
     trials = [(t.trial_id, t.mode.name) for t in dataset]
-    payload = (trials, blocks, pooled_params, model_spec, config)
+    payload = (trials, blocks, mins, maxs, pooled_params, model_spec, config)
 
     n = len(dataset)
     indices = range(n)

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from gaitreg import RunConfig, generate
+
+# property tests draw the same examples on every run and never time out
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=40)
+settings.load_profile("tier1")
 
 SMALL_OVERRIDES = {
     "trials_per_mode": {

@@ -111,6 +111,57 @@ def dft_energy_fraction(signal, fs, threshold_hz):
     return float(power[freqs <= threshold_hz].sum() / power.sum())
 
 
+def sosfilt_loop(sections, x):
+    """The cascade applied causally, one Python-level step per sample.
+
+    Direct form II transposed, each section started in its step-response
+    steady state for the first sample.  The per-signal loop that
+    gaitreg.preprocessing's batched filter replaced; it must match bit for
+    bit.
+    """
+    y = np.array(x, dtype=np.float64)
+    for b0, b1, b2, a1, a2 in sections:
+        gain = (b0 + b1 + b2) / (1.0 + a1 + a2)
+        s1 = (gain - b0) * y[0]
+        s2 = (b2 - a2 * gain) * y[0]
+        out = np.empty_like(y)
+        for i, xi in enumerate(y):
+            yi = b0 * xi + s1
+            s1 = b1 * xi - a1 * yi + s2
+            s2 = b2 * xi - a2 * yi
+            out[i] = yi
+        y = out
+    return y
+
+
+def loop_zero_phase(sections, x, order):
+    """Reflect-pad 3 * order each side, sosfilt_loop forward and back, trim."""
+    x = np.asarray(x, dtype=np.float64)
+    pad = 3 * order
+    padded = np.concatenate([x[pad - 1 :: -1], x, x[-1 : -pad - 1 : -1]])
+    y = sosfilt_loop(sections, padded)
+    y = sosfilt_loop(sections, y[::-1])[::-1]
+    return y[pad : pad + len(x)]
+
+
+def loop_trial_features(trial, sections, order, filter_targets=True):
+    """One trial's (inputs, targets) from per-signal loop_zero_phase calls.
+
+    sections must be designed for the trial's sample rate; the six input
+    columns are the filtered angles and their np.gradient derivatives.
+    """
+    dt = 1.0 / trial.sample_rate_hz
+    columns = []
+    for angle in (trial.theta_hip, trial.theta_knee):
+        x = loop_zero_phase(sections, angle, order)
+        v = np.gradient(x, dt, edge_order=1)
+        columns += [x, v, np.gradient(v, dt, edge_order=1)]
+    targets = [trial.theta_ankle, trial.tau_ankle]
+    if filter_targets:
+        targets = [loop_zero_phase(sections, t, order) for t in targets]
+    return np.column_stack(columns), np.column_stack(targets)
+
+
 def masked_scan_smo(x, y, c, epsilon, gamma, tol, max_updates):
     """SMO for the epsilon-SVR dual with the maximal-violating-pair rule.
 

@@ -172,6 +172,25 @@ class TestLoocv:
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: ") and second.name in line
 
+    def test_constant_moment_trial_fails_its_fold_by_name(self, synth_dir, tmp_path):
+        # the filtered constant keeps rounding noise; its R^2 is undefined
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir / "data", data)
+        path = sorted(data.glob("*.csv"))[1]
+        lines = path.read_text().splitlines()
+        for i in range(2, len(lines)):
+            cells = lines[i].split(",")
+            cells[4] = "12.3"
+            lines[i] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        proc = run_cli(
+            "loocv", "--data", str(data), "--model", "linear", "--out", str(tmp_path / "rep"),
+        )
+        assert proc.returncode == 1
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: fold 1 ") and repr(path.stem) in line
+        assert "constant target" in line
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_config_error(self, synth_dir, tmp_path, jobs):
         proc = run_cli(

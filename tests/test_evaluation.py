@@ -27,6 +27,15 @@ class TestR2:
         with pytest.raises(MetricError, match="constant"):
             r2_score([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
+    def test_filtered_constant_rejected(self):
+        # the filter's rounding noise leaves SS_tot ~ 1e-26, not exactly 0
+        from gaitreg import ButterworthFilter, lowpass_zero_phase
+
+        y = lowpass_zero_phase(np.full(60, 12.3), ButterworthFilter.design(6.0, 200.0, 4))
+        assert 0.0 < float(np.sum((y - y.mean()) ** 2)) < 1e-20
+        with pytest.raises(MetricError, match="constant"):
+            r2_score(y, np.full(60, 12.0))
+
     def test_affine_invariance(self):
         stream = SplitMix64(5)
         for _ in range(100):
@@ -152,16 +161,17 @@ class TestRunLoocv:
         import gaitreg.evaluation as evaluation
         import gaitreg.preprocessing as preprocessing
 
-        filtered = []
-        original = preprocessing.trial_features
+        calls = []
+        original = preprocessing.feature_blocks
 
-        def counting(trial, *args):
-            filtered.append(trial.trial_id)
-            return original(trial, *args)
+        def counting(trials, *args):
+            trials = list(trials)
+            calls.append([t.trial_id for t in trials])
+            return original(trials, *args)
 
         # the grid search must reuse the LOO blocks, not filter trials again
-        monkeypatch.setattr(evaluation, "trial_features", counting)
-        monkeypatch.setattr(preprocessing, "trial_features", counting)
+        monkeypatch.setattr(evaluation, "feature_blocks", counting)
+        monkeypatch.setattr(preprocessing, "feature_blocks", counting)
         config = small_config.with_overrides(
             {
                 "svr_grid_c": [1.0, 10.0],
@@ -175,7 +185,21 @@ class TestRunLoocv:
         assert report.config["svr_c"] in (1.0, 10.0)
         assert report.config["svr_epsilon"] == 0.05
         assert report.config["svr_grid_c"] == [1.0, 10.0]
-        assert filtered == list(small_dataset.trial_ids)
+        assert calls == [list(small_dataset.trial_ids)]
+
+    def test_fold_scaling_from_trial_extrema_matches_fit(self, small_dataset, small_config):
+        from gaitreg.evaluation import _fold_params
+        from gaitreg.preprocessing import ButterworthFilter, feature_blocks, fit_normalization
+
+        filt = ButterworthFilter.design(small_config.cutoff_hz, 200.0, small_config.filter_order)
+        inputs = [x for x, _ in feature_blocks(small_dataset, filt)]
+        mins = np.array([x.min(axis=0) for x in inputs])
+        maxs = np.array([x.max(axis=0) for x in inputs])
+        for k in range(len(inputs)):
+            fitted = fit_normalization(np.concatenate(inputs[:k] + inputs[k + 1 :]))
+            params = _fold_params(mins, maxs, k)
+            assert np.array_equal(params.mins, fitted.mins)
+            assert np.array_equal(params.maxs, fitted.maxs)
 
     def test_partial_grid_rejected(self, small_config):
         with pytest.raises(ConfigError, match="together"):

@@ -2,7 +2,15 @@ from math import pi
 
 import numpy as np
 import pytest
-from oracles import butterworth_warped_magnitude, dft_energy_fraction
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import (
+    butterworth_warped_magnitude,
+    dft_energy_fraction,
+    loop_trial_features,
+    loop_zero_phase,
+    sosfilt_loop,
+)
 
 from gaitreg import (
     ButterworthFilter,
@@ -13,13 +21,15 @@ from gaitreg import (
 from gaitreg.errors import ConfigError, PreprocessError
 from gaitreg.preprocessing import (
     NormalizationParams,
+    _zero_phase,
     apply_normalization,
     differentiate,
+    feature_blocks,
     fit_normalization,
     trial_features,
 )
 from gaitreg.synth import SynthConfig, generate
-from gaitreg.data import LocomotionMode
+from gaitreg.data import GaitDataset, GaitTrial, LocomotionMode
 
 FS = 200.0
 
@@ -117,6 +127,74 @@ class TestZeroPhaseFilter:
         lowpass_zero_phase(np.ones(12), filt)  # 3 x order is allowed
         with pytest.raises(PreprocessError, match="12"):
             lowpass_zero_phase(np.ones(11), filt)
+
+    @pytest.mark.parametrize("order", [1, 3, 4])
+    def test_minimum_length_reflects_whole_signal_at_both_ends(self, order):
+        # at len == 3 x order each pad is the whole signal reversed
+        filt = ButterworthFilter.design(6.0, FS, order)
+        x = np.random.default_rng(order).standard_normal(3 * order)
+        padded = np.concatenate([x[::-1], x, x[::-1]])
+        y = sosfilt_loop(filt.sections, padded)
+        y = sosfilt_loop(filt.sections, y[::-1])[::-1]
+        assert np.array_equal(lowpass_zero_phase(x, filt), y[len(x) : 2 * len(x)])
+
+
+def two_rate_dataset():
+    stream = np.random.default_rng(5)
+    trials = []
+    for i, (rate, n) in enumerate([(200.0, 40), (100.0, 33), (200.0, 57), (100.0, 16)]):
+        columns = np.cumsum(stream.standard_normal((4, n)), axis=1)
+        trials.append(GaitTrial(f"t{i}", LocomotionMode.NormalWalk, rate, *columns))
+    return GaitDataset(tuple(trials))
+
+
+class TestBatchedFilter:
+    """The batched zero-phase pass against the per-signal loop, bit for bit."""
+
+    @pytest.mark.parametrize("filter_targets", [True, False])
+    def test_default_trials_match_loop(self, default_dataset, filt, filter_targets):
+        blocks = feature_blocks(default_dataset, filt, filter_targets)
+        assert len(blocks) == len(default_dataset) == 41
+        for trial, (inputs, targets) in zip(default_dataset, blocks):
+            ref_inputs, ref_targets = loop_trial_features(
+                trial, filt.sections, filt.order, filter_targets
+            )
+            assert np.array_equal(inputs, ref_inputs)
+            assert np.array_equal(targets, ref_targets)
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_ragged_lengths_match_loop(self, order):
+        # odd orders end in a first-order section; 3 x order is the shortest
+        filt = ButterworthFilter.design(6.0, FS, order)
+        stream = np.random.default_rng(order)
+        lengths = [3 * order, 3 * order + 1, 50, 3 * order + 2, 121]
+        signals = [np.cumsum(stream.standard_normal(n)) for n in lengths]
+        for x, y in zip(signals, _zero_phase(signals, filt)):
+            assert np.array_equal(y, loop_zero_phase(filt.sections, x, order))
+
+    def test_two_sample_rates_keep_dataset_order(self, filt):
+        dataset = two_rate_dataset()
+        blocks = feature_blocks(dataset, filt)
+        for trial, (inputs, targets) in zip(dataset, blocks):
+            rate_filt = filt.with_sample_rate(trial.sample_rate_hz)
+            ref_inputs, ref_targets = loop_trial_features(trial, rate_filt.sections, 4)
+            assert inputs.shape[0] == trial.n_samples
+            assert np.array_equal(inputs, ref_inputs)
+            assert np.array_equal(targets, ref_targets)
+
+    @given(
+        order=st.integers(1, 6),
+        cutoff_frac=st.floats(0.01, 0.45),
+        fs=st.sampled_from([60.0, 100.0, 200.0, 1000.0]),
+        extra=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_filters_and_lengths_match_loop(self, order, cutoff_frac, fs, extra, seed):
+        filt = ButterworthFilter.design(cutoff_frac * fs, fs, order)
+        stream = np.random.default_rng(seed)
+        signals = [stream.standard_normal(3 * order + k) * 10.0 for k in extra]
+        for x, y in zip(signals, _zero_phase(signals, filt)):
+            assert np.array_equal(y, loop_zero_phase(filt.sections, x, order))
 
 
 class TestDifferentiate:
