@@ -2,8 +2,9 @@
 
 Subcommands: synth (write trial CSVs + manifest), loocv (leave-one-out run
 of one model), gradcheck (finite-difference verification of the network
-gradients), compare (all three models through the same splits).  Exit
-codes: 0 success, 1 runtime/data failure, 2 usage or config error.
+gradients), compare (all three models through the same splits).  Run
+settings come only from --config FILE and --override KEY=JSON (repeatable).
+Exit codes: 0 success, 1 runtime/data failure, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -26,32 +27,17 @@ from .synth import export_dataset
 
 def _parse_override(text: str) -> tuple[str, object]:
     if "=" not in text:
-        raise ConfigError(f"override {text!r} must be KEY=VALUE")
+        raise ConfigError(f"override {text!r} must be KEY=JSON")
     key, _, raw = text.partition("=")
     try:
-        value = json.loads(raw)
+        return key, json.loads(raw)
     except json.JSONDecodeError:
-        value = raw  # bare strings are allowed unquoted
-    return key, value
+        raise ConfigError(f"override {key!r}: value {raw!r} is not JSON") from None
 
 
 def _load_config(args) -> RunConfig:
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {}
-    for item in getattr(args, "override", None) or []:
-        key, value = _parse_override(item)
-        overrides[key] = value
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "linear_mode", False):
-        overrides["linear_mode"] = True
-    if getattr(args, "noise_std_deg", None) is not None:
-        overrides["noise_std_deg"] = args.noise_std_deg
-    if getattr(args, "paper_faithful_norm", False):
-        overrides["paper_faithful_norm"] = True
-    if overrides:
-        config = config.with_overrides(overrides)
-    return config
+    return config.with_overrides(dict(_parse_override(item) for item in args.override or []))
 
 
 def _cmd_synth(args) -> int:
@@ -88,16 +74,12 @@ def _cmd_compare(args) -> int:
     config = _load_config(args)
     dataset = load_dataset_dir(args.data)
     out_dir = Path(args.out)
-    fold_orders = {}
     merged = ["model,mode,target,r2_mean,r2_sd,rmse_mean,rmse_sd"]
     for spec in MODEL_SPECS:
         report = run_loocv(dataset, spec, config, jobs=args.jobs)
         emit_report(report, out_dir / spec)
-        fold_orders[spec] = [f.trial_id for f in report.folds]
         for line in summary_csv_text(report).splitlines()[1:]:
             merged.append(f"{spec},{line}")
-    if len({tuple(v) for v in fold_orders.values()}) != 1:
-        raise PipelineError(f"fold order diverged between models: {fold_orders}")
     atomic_write_text(out_dir / "comparison.csv", "\n".join(merged) + "\n")
     print(f"compared {list(MODEL_SPECS)} over {len(dataset)} folds; table in {out_dir}")
     return 0
@@ -120,24 +102,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--override",
             action="append",
-            metavar="KEY=VALUE",
+            metavar="KEY=JSON",
             help="override a config key (JSON value); repeatable, wins over --config",
         )
         if data:
             p.add_argument("--data", required=True, help="directory of trial CSVs")
             p.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
-            p.add_argument(
-                "--paper-faithful-norm",
-                action="store_true",
-                help="fit min-max scaling on the pooled data instead of the training fold",
-            )
 
     p_synth = sub.add_parser("synth", help="generate synthetic trial CSVs + manifest")
     add_common(p_synth)
     p_synth.add_argument("--out", required=True, help="output directory")
-    p_synth.add_argument("--seed", type=int, help="generator seed override")
-    p_synth.add_argument("--linear-mode", action="store_true", help="affine targets")
-    p_synth.add_argument("--noise-std-deg", type=float, help="angle noise level override")
     p_synth.set_defaults(func=_cmd_synth)
 
     p_loocv = sub.add_parser("loocv", help="leave-one-out evaluation of one model")

@@ -2,15 +2,16 @@
 
 Every stochastic choice is pinned by an explicit seed in the config (no
 wall-clock defaults), so rerunning a config byte-reproduces all outputs.
-Unknown keys are rejected rather than ignored.
+Unknown keys and values of the wrong type are rejected, never ignored or coerced.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
 from .baselines import (
     DEFAULT_SVR_C,
@@ -23,16 +24,31 @@ from .errors import ConfigError
 from .mlp import DEFAULT_LAYER_DIMS, TrainConfig
 from .synth import DEFAULT_TRIALS_PER_MODE, SynthConfig
 
+# the JSON types each declared field type admits; bool is never a number
+_TYPES = {bool: bool, int: int, float: (int, float), dict: dict, list: list, tuple: (list, tuple)}
+
 
 def _default_trials() -> dict:
     return {mode.name: count for mode, count in DEFAULT_TRIALS_PER_MODE.items()}
+
+
+def _admits(hint, value) -> bool:
+    base, args = get_origin(hint) or hint, get_args(hint)
+    if base is Union:  # Optional[X] also admits null
+        return value is None or _admits(args[0], value)
+    if isinstance(value, bool) != (base is bool) or not isinstance(value, _TYPES[base]):
+        return False
+    if base in (dict, list, tuple):  # dict[str, V] checks values, list[E] or tuple[E, ...] items
+        entries, entry_hint = (value.values(), args[1]) if base is dict else (value, args[0])
+        return all(_admits(entry_hint, v) for v in entries)
+    return base is not float or abs(value) <= sys.float_info.max  # finite; NaN compares false
 
 
 @dataclass(frozen=True)
 class RunConfig:
     # synthetic data
     seed: int = SynthConfig.seed
-    trials_per_mode: dict = field(default_factory=_default_trials)
+    trials_per_mode: dict[str, int] = field(default_factory=_default_trials)
     samples_per_trial: int = SynthConfig.samples_per_trial
     noise_std_deg: float = SynthConfig.noise_std_deg
     speed_jitter: float = SynthConfig.speed_jitter
@@ -43,7 +59,7 @@ class RunConfig:
     filter_targets: bool = True
     paper_faithful_norm: bool = False
     # shared network
-    layer_dims: tuple = DEFAULT_LAYER_DIMS
+    layer_dims: tuple[int, ...] = DEFAULT_LAYER_DIMS
     epochs: int = TrainConfig.epochs
     learning_rate: float = TrainConfig.learning_rate
     momentum: float = TrainConfig.momentum
@@ -60,20 +76,26 @@ class RunConfig:
     svr_gamma: Optional[float] = None  # None -> 1 / n_features
     svr_tol: float = DEFAULT_SVR_TOL
     svr_max_updates: int = DEFAULT_SVR_MAX_UPDATES
-    svr_grid_c: Optional[list] = None
-    svr_grid_epsilon: Optional[list] = None
-    svr_grid_gamma: Optional[list] = None
+    svr_grid_c: Optional[list[float]] = None
+    svr_grid_epsilon: Optional[list[float]] = None
+    svr_grid_gamma: Optional[list[float]] = None
     svr_grid_folds: int = 3
     # evaluation
     phase_bins: int = 101
 
     def __post_init__(self):
+        hints = get_type_hints(RunConfig)
+        for f in fields(self):
+            if not _admits(hints[f.name], getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
         trials = dict(self.trials_per_mode)
         for name in trials:
             if name not in LocomotionMode.__members__:
                 raise ConfigError(f"trials_per_mode key {name!r} is not a locomotion mode")
         object.__setattr__(self, "trials_per_mode", trials)
-        object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
+        dims = self.layer_dims  # the six input features in, angle and moment out
+        if len(dims) < 2 or dims[0] != 6 or dims[-1] != 2 or min(dims) < 1:
+            raise ConfigError(f"layer_dims must be >= 2 positive sizes from 6 to 2, got {dims}")
         if self.phase_bins < 2:
             raise ConfigError(f"phase_bins must be >= 2, got {self.phase_bins}")
         grids = (self.svr_grid_c, self.svr_grid_epsilon, self.svr_grid_gamma)
@@ -96,11 +118,10 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         return cls.from_dict(data)

@@ -25,7 +25,7 @@ from .baselines import (
     predict_svr_baseline,
 )
 from .config import RunConfig
-from .data import GaitDataset, LocomotionMode, loo_splits
+from .data import GaitDataset, LocomotionMode
 from .errors import ConfigError, MetricError, PipelineError
 from .ioutil import atomic_write_text
 from .mlp import forward, init, train
@@ -36,6 +36,7 @@ from .preprocessing import (
     feature_blocks,
 )
 # not called here; bound so perfbench/tracer.py can patch them by name
+from .data import loo_splits  # noqa: F401
 from .preprocessing import fit_normalization, trial_features  # noqa: F401
 from .rng import derive_seed
 from .svgplot import band_plot_svg
@@ -203,7 +204,8 @@ def run_loocv(
         raise ConfigError(f"unknown model spec {model_spec!r}; choose from {MODEL_SPECS}")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    loo_splits(dataset)  # validates >= 2 trials
+    if len(dataset) < 2:
+        raise ConfigError(f"leave-one-out needs at least 2 trials, got {len(dataset)}")
     base_filter = ButterworthFilter.design(
         config.cutoff_hz, dataset.trials[0].sample_rate_hz, config.filter_order
     )

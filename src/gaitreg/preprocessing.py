@@ -150,7 +150,9 @@ def _zero_phase(signals, filt: ButterworthFilter) -> list[np.ndarray]:
     padded = []
     for signal in signals:
         x = np.asarray(signal, dtype=np.float64)
-        if x.ndim != 1 or len(x) < pad:
+        if x.ndim != 1:
+            raise PreprocessError(f"signal must be 1-D, got shape {x.shape}")
+        if len(x) < pad:
             raise PreprocessError(
                 f"signal of length {len(x)} too short to filter; need >= {pad} (3 x order)"
             )

@@ -2,10 +2,15 @@ import json
 import shutil
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from gaitreg import RunConfig, cli
 from gaitreg.mlp import init
 from gaitreg.rng import SplitMix64, derive_seed
 
@@ -220,6 +225,143 @@ class TestLoocv:
         report = json.loads((tmp_path / "rep" / "report.json").read_text())
         assert report["config"]["phase_bins"] == 21
         assert len(report["modes"]["NormalWalk"]["phase_mae"]["theta"]) == 21
+
+
+# the JSON values of each type, and the types each declared field type admits
+JSON_KINDS = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(),
+    "float": st.floats(),
+    "str": st.text(max_size=4),
+    "list": st.lists(st.integers(), max_size=3),
+    "dict": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+ADMITTED_KINDS = {
+    "bool": {"bool"},
+    "int": {"int"},
+    "float": {"int", "float"},
+    "Optional[float]": {"null", "int", "float"},
+    "Optional[list[float]]": {"null", "list"},
+    "tuple[int, ...]": {"list"},
+    "dict[str, int]": {"dict"},
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_data(tmp_path_factory):
+    # three short trials keep each fuzzed leave-one-out run to milliseconds
+    data = tmp_path_factory.mktemp("fuzz") / "data"
+    trials = {"NormalWalk": 1, "StairAscent": 1, "SlopeDescent": 1}
+    assert cli.main([
+        "synth", "--out", str(data), "--override", f"trials_per_mode={json.dumps(trials)}",
+        "--override", "samples_per_trial=48",
+    ]) == 0
+    return data
+
+
+def main_in_process(capsys, *args):
+    """cli.main's exit code and its stderr lines; an escaping exception fails the test."""
+    code = cli.main(list(args))
+    return code, capsys.readouterr().err.splitlines()
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--seed", "7"],
+            ["synth", "--linear-mode"],
+            ["synth", "--noise-std-deg", "0"],
+            ["loocv", "--model", "linear", "--data", "d", "--paper-faithful-norm"],
+            ["compare", "--data", "d", "--paper-faithful-norm"],
+        ],
+    )
+    def test_alias_flags_are_gone(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ("seed=abc", "'seed'"),
+            ("seed=true", "seed"),
+            ("epochs=2.5", "epochs"),
+            ("filter_order=2.5", "filter_order"),
+            ('cutoff_hz="6"', "cutoff_hz"),
+            ("cutoff_hz=NaN", "cutoff_hz"),
+            ("layer_dims=[5,10,2]", "layer_dims"),
+            ("layer_dims=[6,10,3]", "layer_dims"),
+            ('trials_per_mode={"NormalWalk": 1.0}', "trials_per_mode"),
+            ('svr_gamma="auto"', "svr_gamma"),
+        ],
+    )
+    def test_bad_override_exits_2_naming_the_key(self, capsys, tmp_path, override, key):
+        code, err = main_in_process(
+            capsys, "synth", "--out", str(tmp_path / "out"), "--override", override
+        )
+        assert code == 2
+        [line] = err
+        assert line.startswith("error: ") and key in line
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_config_exits_2_naming_the_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"seed": 1, "note": "\xff"}')
+        code, err = main_in_process(
+            capsys, "synth", "--config", str(bad), "--out", str(tmp_path / "out")
+        )
+        assert code == 2
+        [line] = err
+        assert line.startswith("error: ") and str(bad) in line
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_override_of_another_json_type_exits_2(self, capsys, tmp_path, data):
+        f = data.draw(st.sampled_from(fields(RunConfig)))
+        kind = data.draw(st.sampled_from(sorted(set(JSON_KINDS) - ADMITTED_KINDS[f.type])))
+        value = data.draw(JSON_KINDS[kind])
+        code, err = main_in_process(
+            capsys, "synth", "--out", str(tmp_path / "out"),
+            "--override", f"{f.name}={json.dumps(value)}",
+        )
+        assert code == 2
+        [line] = err
+        assert line.startswith("error: ") and f.name in line
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(
+        st.tuples(
+            st.sampled_from(["replace", "insert", "delete"]),
+            st.integers(0, 10**6),
+            st.integers(0, 255),
+        ),
+        min_size=1,
+        max_size=3,
+    ))
+    def test_byte_edits_of_a_trial_csv_fail_cleanly(self, capsys, tmp_path, fuzz_data, edits):
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        data = work / "data"
+        shutil.copytree(fuzz_data, data)
+        path = sorted(data.glob("*.csv"))[0]
+        raw = bytearray(path.read_bytes())
+        for op, where, byte in edits:
+            i = where % len(raw)
+            if op == "replace":
+                raw[i] = byte
+            elif op == "insert":
+                raw.insert(i, byte)
+            else:
+                del raw[i]
+        path.write_bytes(bytes(raw))
+        code, err = main_in_process(
+            capsys, "loocv", "--data", str(data), "--model", "linear", "--out", str(work / "rep")
+        )
+        assert code in (0, 1, 2)
+        if code:
+            [line] = err
+            assert line.startswith("error: ")
 
 
 class TestGradcheck:

@@ -201,6 +201,10 @@ class TestRunLoocv:
             assert np.array_equal(params.mins, fitted.mins)
             assert np.array_equal(params.maxs, fitted.maxs)
 
+    def test_single_trial_rejected(self, small_dataset, small_config):
+        with pytest.raises(ConfigError, match="at least 2 trials, got 1"):
+            run_loocv(GaitDataset(small_dataset.trials[:1]), "linear", small_config)
+
     def test_partial_grid_rejected(self, small_config):
         with pytest.raises(ConfigError, match="together"):
             small_config.with_overrides({"svr_grid_c": [1.0]})

@@ -1,4 +1,5 @@
-"""The package's public surface: what ``gaitreg`` exports, and the demos.
+"""The package's public surface: what ``gaitreg`` exports, the demos, and
+the CLI flags the README shows.
 
 ``gaitreg.__all__`` is the set of entry points the demos and the README
 use; everything else is imported from its submodule.  Demos 01 and 02 run
@@ -6,7 +7,9 @@ in about a second each and are checked here; demos 03 and 04 run full
 leave-one-out evaluations (about a minute each) and stay manual.
 """
 
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import gaitreg
+from gaitreg import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,3 +64,19 @@ def test_fast_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_flag_the_readme_shows_is_accepted():
+    # every --flag inside backticks, inline or fenced, so README cannot advertise a removed flag
+    spans = re.findall(r"`([^`]*)`", (ROOT / "README.md").read_text(encoding="utf-8"))
+    shown = {f for span in spans for f in re.findall(r"(?<![\w-])--[a-z][a-z-]*", span)}
+    parser = cli.build_parser()
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {
+        option
+        for p in (parser, *subparsers.choices.values())
+        for action in p._actions
+        for option in action.option_strings
+    }
+    assert shown, "no flags found in README.md"
+    assert sorted(shown - accepted) == []

@@ -1,3 +1,4 @@
+import re
 from math import pi
 
 import numpy as np
@@ -127,6 +128,11 @@ class TestZeroPhaseFilter:
         lowpass_zero_phase(np.ones(12), filt)  # 3 x order is allowed
         with pytest.raises(PreprocessError, match="12"):
             lowpass_zero_phase(np.ones(11), filt)
+
+    @pytest.mark.parametrize("shape", [(), (20, 2)])
+    def test_signal_that_is_not_1d_rejected_with_its_shape(self, filt, shape):
+        with pytest.raises(PreprocessError, match=re.escape(f"1-D, got shape {shape}")):
+            lowpass_zero_phase(np.ones(shape), filt)
 
     @pytest.mark.parametrize("order", [1, 3, 4])
     def test_minimum_length_reflects_whole_signal_at_both_ends(self, order):
