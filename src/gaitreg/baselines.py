@@ -7,13 +7,21 @@ The SVR dual is solved by sequential minimal optimization on the stacked
     s.t. sum_t z_t a_t = 0,   0 <= a_t <= C
 
 with a = [alpha; alpha*], z = [+1...; -1...], p = [eps - y; eps + y].
-Each step picks the maximally KKT-violating pair (largest gap between the
-bias candidates -z_t G_t over the up/down index sets), solves the
-two-variable subproblem in closed form, and maintains the gradient
-incrementally.  Membership of the four up/down sets is kept as penalty
-vectors, -0.0 inside a set and -inf/+inf outside, of which an update
-rewrites only its two entries; each scan is then one add and one
-argmax/argmin over c0 + penalty, exact because x + -0.0 == x bit for bit.
+Each step picks its pair by the second-order rule of Fan, Chen & Lin
+(JMLR 6, 2005), from the bias candidates v_t = -z_t G_t over the up and
+low index sets.  i is the maximal violator: the up-set candidate with the
+largest v_i = m_up.  j is the low-set candidate with v_j < m_up that
+maximizes b_j^2 / a_j, twice the objective decrease of an unclipped step, with
+b_j = m_up - v_j and a_j = K_ii + K_jj - 2 K_ij (floored at 1e-12).  Ties
+go to the alpha side, then to the lowest index.  The step is capped by the
+box and by b_j / a_j, and the fit stops once m_up - m_low < tol, m_low
+being the smallest low-set candidate.  The gradient is maintained
+incrementally.  Membership of the four up/low sets is kept as penalty
+vectors, of which an update rewrites only its two entries: each scan is
+then one add and one argmax/argmin over c0 + penalty.  The up sets'
+penalties are -0.0 inside and -inf outside, exact because x + -0.0 == x
+bit for bit; the low sets' are the candidate's shift inside (-eps or
++eps, exact because x + -eps == x - eps) and +inf outside.
 The bias is the mean candidate over unbounded support vectors, or the
 midpoint of the final bounds if none are free.  A fit that stops at the
 update cap warns with a RuntimeWarning.
@@ -119,13 +127,17 @@ def svr_fit(
         raise ConfigError(f"need matching x {x.shape} and y {y.shape}")
     if c <= 0.0 or epsilon < 0.0:
         raise ConfigError(f"need C > 0 and epsilon >= 0, got C={c}, epsilon={epsilon}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
+    if max_updates < 1:
+        raise ConfigError(f"max_updates must be >= 1, got {max_updates}")
     if gamma is None:
         gamma = 1.0 / x.shape[1]
     if gamma <= 0.0:
         raise ConfigError(f"gamma must be positive, got {gamma}")
 
     kernel = rbf_kernel(x, x, gamma)
-    diag = kernel.diagonal().tolist()
+    diag = kernel.diagonal().copy()
     c = float(c)
     epsilon = float(epsilon)
     alpha = np.zeros(n)  # pushes f(x_i) up
@@ -136,14 +148,23 @@ def svr_fit(
     converged = False
     eps_bound = 1e-12 * c
     hi_bound = c - eps_bound
-    # set-membership penalties, see the module docstring
+    # set-membership penalties, see the module docstring; the low sets'
+    # penalties also carry their candidates' shift, -eps and +eps
     pen_up_a = np.full(n, -0.0)  # alpha < C
     pen_up_s = np.full(n, -math.inf)  # alpha* > 0
-    pen_low_a = np.full(n, math.inf)  # alpha > 0
-    pen_low_s = np.full(n, -0.0)  # alpha* < C
+    pen_low = np.full(2 * n, math.inf)
+    pen_low[n:] = epsilon
+    pen_low_a, pen_low_s = pen_low[:n], pen_low[n:]  # alpha > 0, alpha* < C
+    # the low sets' candidates v_j, the alpha side first, +inf outside the sets
+    low = np.empty(2 * n)
+    low_a, low_s = low[:n], low[n:]
+    gain = np.empty(2 * n)
+    gain_a, gain_s = gain[:n], gain[n:]
+    size = np.empty(2 * n)
+    curv = np.empty(n)
     work = np.empty(n)
     while True:
-        # maximally violating pair over the up/down sets; alpha side wins ties
+        # first index: maximal violator over the up sets; alpha side wins ties
         np.add(c0, pen_up_a, out=work)
         ia = work.argmax()
         up_a = work.item(ia) - epsilon
@@ -154,46 +175,57 @@ def svr_fit(
         m_up = up_a if i_on_alpha else up_s
         bi = ia if i_on_alpha else is_
 
-        np.add(c0, pen_low_a, out=work)
-        ja = work.argmin()
-        low_a = work.item(ja) - epsilon
-        np.add(c0, pen_low_s, out=work)
-        js = work.argmin()
-        low_s = work.item(js) + epsilon
-        j_on_alpha = low_a <= low_s
-        m_low = low_a if j_on_alpha else low_s
-        bj = ja if j_on_alpha else js
-
+        np.add(c0, pen_low_a, out=low_a)
+        np.add(c0, pen_low_s, out=low_s)
+        m_low = low.min().item()
         if m_up - m_low < tol:
             converged = True
             break
         if n_updates >= max_updates:
             break
-        eta = diag[bi] + diag[bj] - 2.0 * kernel.item(bi, bj)
+        # second index: the low-set candidate below m_up with the largest
+        # decrease b^2 / a, b = m_up - v_j, a = K_ii + K_jj - 2 K_ij; the
+        # first argmax lets the alpha side win ties, then the lowest index
+        kernel_i = kernel[bi]
+        np.add(diag, diag.item(bi), out=curv)
+        curv -= np.multiply(kernel_i, 2.0, out=work)
+        np.maximum(curv, 1e-12, out=curv)
+        np.subtract(m_up, low, out=gain)
+        # b * |b|: non-candidates score <= 0 and indices outside the low sets
+        # -inf, so j is always a low-set member
+        np.multiply(gain, np.abs(gain, out=size), out=gain)
+        gain_a /= curv
+        gain_s /= curv
+        j = gain.argmax().item()
+        j_on_alpha = j < n
+        bj = j if j_on_alpha else j - n
+        b_j = m_up - low.item(j)
+
+        eta = diag.item(bi) + diag.item(bj) - 2.0 * kernel_i.item(bj)
         cap_i = (c - alpha.item(bi)) if i_on_alpha else alpha_star.item(bi)
         cap_j = alpha.item(bj) if j_on_alpha else (c - alpha_star.item(bj))
         step = min(cap_i, cap_j)
         if eta > 1e-12:
-            step = min(step, (m_up - m_low) / eta)
+            step = min(step, b_j / eta)
         # only the two changed entries can enter or leave a set
         if i_on_alpha:
             a = alpha[bi] = min(alpha.item(bi) + step, c)
             pen_up_a[bi] = -math.inf if a >= hi_bound else -0.0
-            pen_low_a[bi] = math.inf if a <= eps_bound else -0.0
+            pen_low_a[bi] = math.inf if a <= eps_bound else -epsilon
         else:
             a = alpha_star[bi] = max(alpha_star.item(bi) - step, 0.0)
             pen_up_s[bi] = -math.inf if a <= eps_bound else -0.0
-            pen_low_s[bi] = math.inf if a >= hi_bound else -0.0
+            pen_low_s[bi] = math.inf if a >= hi_bound else epsilon
         if j_on_alpha:
             a = alpha[bj] = max(alpha.item(bj) - step, 0.0)
             pen_up_a[bj] = -math.inf if a >= hi_bound else -0.0
-            pen_low_a[bj] = math.inf if a <= eps_bound else -0.0
+            pen_low_a[bj] = math.inf if a <= eps_bound else -epsilon
         else:
             a = alpha_star[bj] = min(alpha_star.item(bj) + step, c)
             pen_up_s[bj] = -math.inf if a <= eps_bound else -0.0
-            pen_low_s[bj] = math.inf if a >= hi_bound else -0.0
+            pen_low_s[bj] = math.inf if a >= hi_bound else epsilon
         # beta_bi += step, beta_bj -= step, so K beta moves along two kernel rows
-        c0 -= np.multiply(kernel[bi], step, out=work)
+        c0 -= np.multiply(kernel_i, step, out=work)
         c0 += np.multiply(kernel[bj], step, out=work)
         n_updates += 1
 

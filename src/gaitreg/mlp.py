@@ -253,35 +253,37 @@ def train(
     spaces = {m: _buffers(model.layer_dims, m) for m in batch_rows}
     trace = []
     try:
-        for epoch in range(config.epochs):
-            perm = SplitMix64(derive_seed(config.shuffle_seed, epoch)).permutation(n)
-            xs, ys = x[perm], y[perm]
-            epoch_loss = 0.0
-            for start in range(0, n, config.batch_size):
-                xb = xs[start : start + config.batch_size]
-                m = xb.shape[0]
-                pres, acts, deltas = spaces[m]
-                acts[0] = xb
-                try:
-                    _forward_layers(weights, biases, acts, pres)
-                except TrainError as exc:
-                    raise TrainError(f"training diverged at epoch {epoch}: {exc}") from None
-                resid = np.subtract(pres[-1], ys[start : start + m], out=deltas[-1]).ravel()
-                # einsum, not BLAS dot: OpenBLAS threads a dot of over 10k
-                # entries, and a busy second core then stalls the step
-                loss = 0.5 * float(np.einsum("i,i->", resid, resid)) / m
-                loss += 0.5 * l2 * float(np.einsum("i,i->", theta_w, theta_w))
-                if not math.isfinite(loss):
-                    raise TrainError(f"training diverged at epoch {epoch}: loss {loss}")
-                deltas[-1] /= m
-                _backward_layers(weights, acts, pres, deltas, grad_w, grad_b, l2)
-                # the momentum update in the same arithmetic as sgd_step
-                vel *= config.momentum
-                grad *= config.learning_rate
-                vel -= grad
-                theta += vel
-                epoch_loss += loss * m
-            trace.append(epoch_loss / n)
+        # a diverging fit's overflow is reported by the isfinite and loss checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(config.epochs):
+                perm = SplitMix64(derive_seed(config.shuffle_seed, epoch)).permutation(n)
+                xs, ys = x[perm], y[perm]
+                epoch_loss = 0.0
+                for start in range(0, n, config.batch_size):
+                    xb = xs[start : start + config.batch_size]
+                    m = xb.shape[0]
+                    pres, acts, deltas = spaces[m]
+                    acts[0] = xb
+                    try:
+                        _forward_layers(weights, biases, acts, pres)
+                    except TrainError as exc:
+                        raise TrainError(f"training diverged at epoch {epoch}: {exc}") from None
+                    resid = np.subtract(pres[-1], ys[start : start + m], out=deltas[-1]).ravel()
+                    # einsum, not BLAS dot: OpenBLAS threads a dot of over 10k
+                    # entries, and a busy second core then stalls the step
+                    loss = 0.5 * float(np.einsum("i,i->", resid, resid)) / m
+                    loss += 0.5 * l2 * float(np.einsum("i,i->", theta_w, theta_w))
+                    if not math.isfinite(loss):
+                        raise TrainError(f"training diverged at epoch {epoch}: loss {loss}")
+                    deltas[-1] /= m
+                    _backward_layers(weights, acts, pres, deltas, grad_w, grad_b, l2)
+                    # the momentum update in the same arithmetic as sgd_step
+                    vel *= config.momentum
+                    grad *= config.learning_rate
+                    vel -= grad
+                    theta += vel
+                    epoch_loss += loss * m
+                trace.append(epoch_loss / n)
     finally:
         for p, v in zip(params, theta_views):
             p[...] = v

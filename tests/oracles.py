@@ -163,12 +163,15 @@ def loop_trial_features(trial, sections, order, filter_targets=True):
 
 
 def masked_scan_smo(x, y, c, epsilon, gamma, tol, max_updates):
-    """SMO for the epsilon-SVR dual with the maximal-violating-pair rule.
+    """SMO for the epsilon-SVR dual with second-order pair selection.
 
     Rebuilds each of the four up/down index sets as a masked copy of c0 on
-    every update.  The same pair rule, tie-breaking and floating-point
-    arithmetic as gaitreg's svr_fit, so its results must match bit for bit.
-    Returns (coef, bias, n_updates, converged).
+    every update.  i is the maximal violator over the up sets; j is the
+    low-set candidate v_j < m_up that maximises b_j^2 / a_j, with
+    b_j = m_up - v_j and a_j = K_ii + K_jj - 2 K_ij floored at 1e-12 (Fan,
+    Chen & Lin, JMLR 6, 2005).  The same pair rule, tie-breaking and
+    floating-point arithmetic as gaitreg's svr_fit, so its results must
+    match bit for bit.  Returns (coef, bias, n_updates, converged).
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -199,29 +202,37 @@ def masked_scan_smo(x, y, c, epsilon, gamma, tol, max_updates):
         m_up = up_a if i_on_alpha else up_s
         bi = ia if i_on_alpha else is_
 
-        np.copyto(work, c0)
-        work[alpha <= eps_bound] = np.inf
-        ja = int(np.argmin(work))
-        low_a = work[ja] - epsilon
-        np.copyto(work, c0)
-        work[alpha_star >= c - eps_bound] = np.inf
-        js = int(np.argmin(work))
-        low_s = work[js] + epsilon
-        j_on_alpha = low_a <= low_s
-        m_low = low_a if j_on_alpha else low_s
-        bj = ja if j_on_alpha else js
+        in_low_a = alpha > eps_bound
+        in_low_s = alpha_star < c - eps_bound
+        v_a = np.where(in_low_a, c0 - epsilon, np.inf)
+        v_s = np.where(in_low_s, c0 + epsilon, np.inf)
+        m_low = min(v_a.min(), v_s.min())
 
         if m_up - m_low < tol:
             converged = True
             break
         if n_updates >= max_updates:
             break
+        curvature = np.maximum(kernel[bi, bi] + np.diag(kernel) - 2.0 * kernel[bi], 1e-12)
+        scores = []
+        for in_low, v in ((in_low_a, v_a), (in_low_s, v_s)):
+            b = m_up - v
+            score = np.full(n, -np.inf)
+            cand = in_low & (v < m_up)
+            score[cand] = b[cand] ** 2 / curvature[cand]
+            scores.append(score)
+        ja = int(np.argmax(scores[0]))
+        js = int(np.argmax(scores[1]))
+        j_on_alpha = scores[0][ja] >= scores[1][js]
+        bj = ja if j_on_alpha else js
+        b_j = m_up - (v_a[bj] if j_on_alpha else v_s[bj])
+
         eta = kernel[bi, bi] + kernel[bj, bj] - 2.0 * kernel[bi, bj]
         cap_i = (c - alpha[bi]) if i_on_alpha else alpha_star[bi]
         cap_j = alpha[bj] if j_on_alpha else (c - alpha_star[bj])
         step = min(cap_i, cap_j)
         if eta > 1e-12:
-            step = min(step, (m_up - m_low) / eta)
+            step = min(step, b_j / eta)
         if i_on_alpha:
             alpha[bi] = min(alpha[bi] + step, c)
         else:

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from oracles import brute_force_svr_dual, masked_scan_smo, rbf
 
 from gaitreg import (
@@ -14,6 +16,7 @@ from gaitreg import (
     svr_predict,
 )
 from gaitreg.baselines import (
+    DEFAULT_SVR_MAX_UPDATES,
     fit_svr_baseline,
     grid_search_svr,
     predict_svr_baseline,
@@ -21,7 +24,12 @@ from gaitreg.baselines import (
 )
 from gaitreg.data import LocomotionMode
 from gaitreg.errors import ConfigError, TrainError
-from gaitreg.preprocessing import apply_normalization, fit_normalization, trial_features
+from gaitreg.preprocessing import (
+    apply_normalization,
+    feature_blocks,
+    fit_normalization,
+    trial_features,
+)
 from gaitreg.rng import SplitMix64
 
 
@@ -146,6 +154,35 @@ class TestSvrFit:
             model = svr_fit(x, y, c=10.0, epsilon=0.1, gamma=0.5)
         assert model.converged
 
+    @given(
+        n=st.integers(1, 30),
+        d=st.integers(1, 4),
+        c=st.floats(0.1, 100.0),
+        epsilon=st.floats(0.0, 1.0),
+        gamma=st.floats(0.05, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_problems_converge_to_kkt(self, n, d, c, epsilon, gamma, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-2.0, 2.0, size=(n, d))
+        y = 2.0 * rng.normal(size=n)
+        tol = 1e-3
+        model = svr_fit(x, y, c=c, epsilon=epsilon, gamma=gamma, tol=tol)
+        assert model.converged
+        assert abs(model.coef.sum()) < 1e-6
+        assert np.abs(model.coef).max() <= c
+        # the bias lies within the final bounds, so every residual meets its
+        # KKT condition to tol; 1e-9 absorbs the rounding of the maintained gradient
+        slack = tol + 1e-9
+        err = np.abs(svr_predict(model, x) - y)
+        for beta, e in zip(np.abs(model.coef), err):
+            if beta <= 1e-12 * c:
+                assert e <= epsilon + slack
+            elif beta >= c * (1.0 - 1e-9):
+                assert e >= epsilon - slack
+            else:
+                assert abs(e - epsilon) <= slack
+
     @pytest.mark.parametrize(
         "n, d, copies, params",
         [
@@ -183,6 +220,38 @@ class TestSvrFit:
         assert model.bias == bias
         assert model.n_updates == n_updates
         assert model.converged == converged == (params["max_updates"] > 5)
+
+
+class TestDefaultScale:
+    @staticmethod
+    @pytest.fixture(scope="class")
+    def fold0(default_config, default_dataset):
+        """Default fold 0's scaled inputs and standardized targets (trials 1-40)."""
+        filt = ButterworthFilter.design(
+            default_config.cutoff_hz,
+            default_dataset.trials[0].sample_rate_hz,
+            default_config.filter_order,
+        )
+        blocks = feature_blocks(default_dataset, filt, default_config.filter_targets)[1:]
+        x = np.concatenate([b[0] for b in blocks])
+        y = np.concatenate([b[1] for b in blocks])
+        x = apply_normalization(x, fit_normalization(x))
+        return x, (y - y.mean(axis=0)) / y.std(axis=0)
+
+    @pytest.mark.parametrize("target", [0, 1], ids=["theta", "tau"])
+    def test_fold0_converges_under_the_default_cap(self, default_config, fold0, target):
+        x, y = fold0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the cap warning fails the test
+            model = svr_fit(
+                x,
+                y[:, target],
+                default_config.svr_c,
+                default_config.svr_epsilon,
+                default_config.svr_gamma,
+            )
+        assert model.converged
+        assert model.n_updates < DEFAULT_SVR_MAX_UPDATES
 
 
 class TestSvrPredict:

@@ -363,6 +363,35 @@ class TestConfigBoundary:
             [line] = err
             assert line.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "override, named",
+        [
+            ("svr_tol=-1", "tol must be positive and finite, got -1"),
+            ("svr_tol=0", "tol must be positive and finite, got 0"),
+            ("svr_max_updates=0", "max_updates must be >= 1, got 0"),
+        ],
+    )
+    def test_unusable_smo_setting_exits_2_naming_the_value(
+        self, capsys, tmp_path, fuzz_data, override, named
+    ):
+        code, err = main_in_process(
+            capsys, "loocv", "--data", str(fuzz_data), "--model", "svr",
+            "--out", str(tmp_path / "rep"), "--override", override,
+        )
+        assert code == 2
+        [line] = err
+        assert line.startswith("error: ") and named in line
+
+    def test_diverging_mlp_prints_only_its_error_line(self, tmp_path, fuzz_data):
+        # a subprocess, so numpy's warnings reach stderr instead of pytest's recorder
+        proc = run_cli(
+            "loocv", "--data", str(fuzz_data), "--model", "mlp", "--out", str(tmp_path / "rep"),
+            "--override", "learning_rate=1e308",
+        )
+        assert proc.returncode == 1
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and "training diverged at epoch" in line
+
 
 class TestGradcheck:
     def test_pass_and_exit_zero(self):
