@@ -20,7 +20,6 @@ from gaitreg import (
     spectral_energy_fraction,
 )
 from gaitreg.preprocessing import (
-    FEATURE_NAMES,
     apply_normalization,
     fit_normalization,
     trial_features,
@@ -49,7 +48,7 @@ print(f"\nhip-angle energy fraction below 6 Hz: min {min(fractions):.4f} over {l
 # build_features assembles the 6-column input matrix and the 2-column targets.
 features = build_features(dataset, filt)
 print(f"\nfeature matrix: {features.inputs.shape}, targets: {features.targets.shape}")
-print(f"columns: {', '.join(FEATURE_NAMES)}")
+print("columns: theta_hip, dtheta_hip, ddtheta_hip, theta_knee, dtheta_knee, ddtheta_knee")
 print(f"training inputs span [{features.inputs.min():.3f}, {features.inputs.max():.3f}]")
 
 # Held-out scaling, as in every leave-one-out fold of run_loocv: fit the

@@ -22,6 +22,7 @@ from .baselines import (
 from .data import LocomotionMode
 from .errors import ConfigError
 from .mlp import DEFAULT_LAYER_DIMS, TrainConfig
+from .preprocessing import DEFAULT_CUTOFF_HZ, DEFAULT_FILTER_ORDER
 from .synth import DEFAULT_TRIALS_PER_MODE, SynthConfig
 
 # the JSON types each declared field type admits; bool is never a number
@@ -54,8 +55,8 @@ class RunConfig:
     speed_jitter: float = SynthConfig.speed_jitter
     linear_mode: bool = SynthConfig.linear_mode
     # preprocessing
-    filter_order: int = 4
-    cutoff_hz: float = 6.0
+    filter_order: int = DEFAULT_FILTER_ORDER
+    cutoff_hz: float = DEFAULT_CUTOFF_HZ
     filter_targets: bool = True
     paper_faithful_norm: bool = False
     # shared network

@@ -32,14 +32,6 @@ class LocomotionMode(Enum):
     SlopeAscent = 3
     SlopeDescent = 4
 
-    @classmethod
-    def parse(cls, name: str) -> "LocomotionMode":
-        """Exact, case-sensitive variant lookup."""
-        try:
-            return cls[name]
-        except KeyError:
-            raise ParseError(f"unknown locomotion mode {name!r}") from None
-
 
 def _as_readonly(values: Sequence[float], name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
@@ -162,9 +154,9 @@ def _parse_meta_line(line: str, path: Path) -> tuple[str, LocomotionMode, float]
             raise ParseError(f"{path}: line 1 expected key {expect!r}, got {key.strip()!r}")
         values[expect] = value.strip()
     try:
-        mode = LocomotionMode.parse(values["mode"])
-    except ParseError as exc:
-        raise ParseError(f"{path}: line 1 {exc}") from None
+        mode = LocomotionMode[values["mode"]]
+    except KeyError:
+        raise ParseError(f"{path}: line 1 unknown locomotion mode {values['mode']!r}") from None
     try:
         fs = float(values["sample_rate_hz"])
     except ValueError:
@@ -254,8 +246,16 @@ def trial_csv_text(trial: GaitTrial) -> str:
 
 
 def write_trial_csv(trial: GaitTrial, path: str | Path) -> Path:
-    if "," in trial.trial_id or "\n" in trial.trial_id:
-        raise ConfigError(f"trial_id {trial.trial_id!r} cannot contain ',' or newlines")
+    """Write a trial as CSV; refuses any trial that load_trial_csv could not read back."""
+    trial_id = trial.trial_id
+    if "," in trial_id or trial_id.splitlines() != [trial_id]:
+        raise ConfigError(f"trial_id {trial_id!r} cannot contain ',' or line breaks")
+    if trial_id != trial_id.strip():
+        raise ConfigError(f"trial_id {trial_id!r} cannot start or end with whitespace")
+    if not np.isfinite((trial.n_samples - 1) / trial.sample_rate_hz):
+        raise ConfigError(
+            f"trial {trial_id!r}: sample_rate_hz {trial.sample_rate_hz!r} gives a non-finite time"
+        )
     return atomic_write_text(path, trial_csv_text(trial))
 
 

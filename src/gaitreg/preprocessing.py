@@ -30,14 +30,9 @@ import numpy as np
 from .data import GaitDataset, GaitTrial
 from .errors import ConfigError, PreprocessError
 
-FEATURE_NAMES = (
-    "theta_hip",
-    "dtheta_hip",
-    "ddtheta_hip",
-    "theta_knee",
-    "dtheta_knee",
-    "ddtheta_knee",
-)
+# the run's default low-pass filter; synth's linear_mode targets use it too
+DEFAULT_CUTOFF_HZ = 6.0
+DEFAULT_FILTER_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -56,9 +51,7 @@ class ButterworthFilter:
     sections: tuple[tuple[float, float, float, float, float], ...]
 
     @classmethod
-    def design(
-        cls, cutoff_hz: float = 6.0, sample_rate_hz: float = 200.0, order: int = 4
-    ) -> "ButterworthFilter":
+    def design(cls, cutoff_hz: float, sample_rate_hz: float, order: int) -> "ButterworthFilter":
         if order < 1:
             raise ConfigError(f"filter order must be >= 1, got {order}")
         if not 0.0 < cutoff_hz < sample_rate_hz / 2.0:
@@ -296,7 +289,7 @@ def input_features(
     filt: ButterworthFilter,
     sample_rate_hz: float,
 ) -> np.ndarray:
-    """The (n, 6) unnormalized input columns, in FEATURE_NAMES order.
+    """The (n, 6) unnormalized input columns, in the module docstring's order.
 
     filt must already be designed for sample_rate_hz.
     """

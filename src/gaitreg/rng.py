@@ -74,18 +74,12 @@ class SplitMix64:
         """Next k doubles uniform on [0, 1)."""
         return (self.u64_block(k) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
-    def uniform(self) -> float:
-        return float(self.uniform_block(1)[0])
-
     def normal_block(self, k: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         """Next k standard-normal deviates scaled to (mean, std)."""
         u = self.uniform_block(2 * k)
         r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
         z = r * np.cos(2.0 * np.pi * u[1::2])
         return mean + std * z
-
-    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
-        return float(self.normal_block(1, mean, std)[0])
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""

@@ -31,7 +31,12 @@ import numpy as np
 
 from .data import MIN_TRIAL_SAMPLES, GaitDataset, GaitTrial, LocomotionMode, write_trial_csv
 from .errors import ConfigError, PipelineError
-from .preprocessing import ButterworthFilter, input_features
+from .preprocessing import (
+    DEFAULT_CUTOFF_HZ,
+    DEFAULT_FILTER_ORDER,
+    ButterworthFilter,
+    input_features,
+)
 from .rng import SplitMix64, derive_seed
 
 SYNTH_SAMPLE_RATE_HZ = 200.0
@@ -131,27 +136,18 @@ class SynthConfig:
             raise ConfigError(f"speed_jitter must be in [0, 0.5), got {self.speed_jitter}")
 
 
-def _series(phi: np.ndarray, shape) -> np.ndarray:
+def _series(phi: np.ndarray, shape, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """A Fourier table's series with scaled harmonic amplitudes, and its phi-derivative."""
     a0, a, b = shape
-    out = np.full_like(phi, a0)
+    value = np.full_like(phi, a0)
+    slope = np.zeros_like(phi)
     for k in range(1, 4):
+        ak, bk = scale * a[k - 1], scale * b[k - 1]
         w = 2.0 * pi * k * phi
-        out += a[k - 1] * np.cos(w) + b[k - 1] * np.sin(w)
-    return out
-
-
-def _series_dphi(phi: np.ndarray, shape) -> np.ndarray:
-    _, a, b = shape
-    out = np.zeros_like(phi)
-    for k in range(1, 4):
-        w = 2.0 * pi * k * phi
-        out += 2.0 * pi * k * (-a[k - 1] * np.sin(w) + b[k - 1] * np.cos(w))
-    return out
-
-
-def _scaled_shape(shape, scale: float):
-    a0, a, b = shape
-    return (a0, tuple(scale * v for v in a), tuple(scale * v for v in b))
+        cos_w, sin_w = np.cos(w), np.sin(w)
+        value += ak * cos_w + bk * sin_w
+        slope += 2.0 * pi * k * (-ak * sin_w + bk * cos_w)
+    return value, slope
 
 
 def stance_window(phi: np.ndarray) -> np.ndarray:
@@ -175,87 +171,47 @@ def _state_map(c, uh, uk, vh, vk, w_hip, w_knee):
     )
 
 
-def _ankle_maps(mode, hip, knee, hip_vel, knee_vel):
-    states = (hip / 30.0, knee / 40.0, hip_vel / 300.0, knee_vel / 400.0)
-    theta = _state_map(ANKLE_COEF[mode], *states, 1.7, -1.1)
-    tau = _state_map(TAU_COEF[mode], *states, 0.9, 1.3)
-    return theta, tau
+_LINEAR_FILTER = ButterworthFilter.design(
+    DEFAULT_CUTOFF_HZ, SYNTH_SAMPLE_RATE_HZ, DEFAULT_FILTER_ORDER
+)
 
 
-@dataclass(frozen=True)
-class _TrialPlan:
-    mode: LocomotionMode
-    index: int
-    n_samples: int
-    hip_shape: tuple
-    knee_shape: tuple
+def _trial(config: SynthConfig, mode: LocomotionMode, index: int):
+    """Noise-free (hip, knee, theta_ankle, tau_ankle) of one trial, and its stream.
 
-
-def _plan_trial(
-    config: SynthConfig, mode: LocomotionMode, index: int
-) -> tuple[_TrialPlan, SplitMix64]:
-    # draw order per trial: duration, hip amplitude, knee amplitude, then noise
+    Draw order per trial: duration, hip amplitude, knee amplitude, then the
+    noise, which the caller draws from the returned stream.
+    """
     stream = SplitMix64(derive_seed(config.seed, mode.value, index))
     u_dur, u_hip, u_knee = stream.uniform_block(3)
     n = int(round(config.samples_per_trial * (1.0 + config.speed_jitter * (2.0 * u_dur - 1.0))))
     n = max(MIN_TRIAL_SAMPLES, n)
-    plan = _TrialPlan(
-        mode=mode,
-        index=index,
-        n_samples=n,
-        hip_shape=_scaled_shape(HIP_SHAPES[mode], 1.0 + AMPLITUDE_JITTER * (2.0 * u_hip - 1.0)),
-        knee_shape=_scaled_shape(KNEE_SHAPES[mode], 1.0 + AMPLITUDE_JITTER * (2.0 * u_knee - 1.0)),
+    phi = np.linspace(0.0, 1.0, n)
+    duration = (n - 1) / SYNTH_SAMPLE_RATE_HZ
+    hip, hip_slope = _series(phi, HIP_SHAPES[mode], 1.0 + AMPLITUDE_JITTER * (2.0 * u_hip - 1.0))
+    knee, knee_slope = _series(
+        phi, KNEE_SHAPES[mode], 1.0 + AMPLITUDE_JITTER * (2.0 * u_knee - 1.0)
     )
-    return plan, stream
-
-
-def _clean_states(plan: _TrialPlan):
-    """Noise-free angles and analytic time-derivatives for one planned trial."""
-    phi = np.linspace(0.0, 1.0, plan.n_samples)
-    duration = (plan.n_samples - 1) / SYNTH_SAMPLE_RATE_HZ
-    hip = _series(phi, plan.hip_shape)
-    knee = _series(phi, plan.knee_shape)
-    hip_vel = _series_dphi(phi, plan.hip_shape) / duration
-    knee_vel = _series_dphi(phi, plan.knee_shape) / duration
-    return phi, hip, knee, hip_vel, knee_vel
-
-
-_LINEAR_FILTER = ButterworthFilter.design(6.0, SYNTH_SAMPLE_RATE_HZ, 4)
-
-
-def _linear_targets(hip: np.ndarray, knee: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """linear_mode targets: global affine map of the pipeline features."""
-    features = input_features(hip, knee, _LINEAR_FILTER, SYNTH_SAMPLE_RATE_HZ)
-    targets = features @ LINEAR_WEIGHTS.T + LINEAR_INTERCEPT
-    return targets[:, 0], targets[:, 1]
-
-
-def _trial_ground_truth(config: SynthConfig, plan: _TrialPlan):
-    phi, hip, knee, hip_vel, knee_vel = _clean_states(plan)
     if config.linear_mode:
-        theta_ankle, tau_ankle = _linear_targets(hip, knee)
+        features = input_features(hip, knee, _LINEAR_FILTER, SYNTH_SAMPLE_RATE_HZ)
+        theta_ankle, tau_ankle = (features @ LINEAR_WEIGHTS.T + LINEAR_INTERCEPT).T
     else:
-        theta_ankle, tau_ankle = _ankle_maps(plan.mode, hip, knee, hip_vel, knee_vel)
-        tau_ankle = stance_window(phi) * tau_ankle
-    return hip, knee, theta_ankle, tau_ankle
-
-
-def _mode_list(config: SynthConfig) -> list[LocomotionMode]:
-    return [m for m in LocomotionMode if config.trials_per_mode.get(m, 0) > 0]
+        hip_vel, knee_vel = hip_slope / duration, knee_slope / duration
+        states = (hip / 30.0, knee / 40.0, hip_vel / 300.0, knee_vel / 400.0)
+        theta_ankle = _state_map(ANKLE_COEF[mode], *states, 1.7, -1.1)
+        tau_ankle = stance_window(phi) * _state_map(TAU_COEF[mode], *states, 0.9, 1.3)
+    return (hip, knee, theta_ankle, tau_ankle), stream
 
 
 def generate(config: SynthConfig) -> GaitDataset:
     """Generate the full dataset; identical config gives identical output."""
     trials = []
-    for mode in _mode_list(config):
-        for index in range(config.trials_per_mode[mode]):
-            plan, stream = _plan_trial(config, mode, index)
-            hip, knee, theta_ankle, tau_ankle = _trial_ground_truth(config, plan)
+    for mode in LocomotionMode:
+        for index in range(config.trials_per_mode.get(mode, 0)):
+            (hip, knee, theta_ankle, tau_ankle), stream = _trial(config, mode, index)
             if config.noise_std_deg > 0.0:
-                noise = stream.normal_block(3 * plan.n_samples, 0.0, config.noise_std_deg)
-                hip = hip + noise[: plan.n_samples]
-                knee = knee + noise[plan.n_samples : 2 * plan.n_samples]
-                theta_ankle = theta_ankle + noise[2 * plan.n_samples :]
+                noise = stream.normal_block(3 * len(hip), 0.0, config.noise_std_deg).reshape(3, -1)
+                hip, knee, theta_ankle = hip + noise[0], knee + noise[1], theta_ankle + noise[2]
             trials.append(
                 GaitTrial(
                     trial_id=f"{mode.name}_{index:02d}",
@@ -283,8 +239,7 @@ def ground_truth(trial_id: str, config: SynthConfig) -> tuple[np.ndarray, np.nda
             f"trial_id {trial_id!r} not produced by this config "
             f"({config.trials_per_mode.get(mode, 0)} trials for {mode.name})"
         )
-    plan, _ = _plan_trial(config, mode, index)
-    _, _, theta_ankle, tau_ankle = _trial_ground_truth(config, plan)
+    (_, _, theta_ankle, tau_ankle), _ = _trial(config, mode, index)
     return theta_ankle, tau_ankle
 
 

@@ -82,8 +82,8 @@ def test_criterion_3_metric_hand_cases():
     for _ in range(100):
         y = stream.normal_block(25, 0.0, 3.0)
         pred = y + stream.normal_block(25, 0.0, 1.0)
-        scale = stream.uniform() * 5 + 0.1
-        shift = stream.normal() * 20
+        scale = stream.uniform_block(1)[0] * 5 + 0.1
+        shift = stream.normal_block(1)[0] * 20
         assert abs(r2_score(scale * y + shift, scale * pred + shift) - r2_score(y, pred)) < 1e-12
     print("ACCEPTANCE 3 PASS: r2=0.5 exact, rmse=sqrt(12.5), affine invariance x100")
 

@@ -1,8 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from gaitreg import loo_splits
 from gaitreg.data import (
+    MIN_TRIAL_SAMPLES,
     GaitDataset,
     GaitTrial,
     LocomotionMode,
@@ -30,6 +35,14 @@ def make_trial(trial_id="t0", mode=LocomotionMode.NormalWalk, n=120, fs=200.0):
 def write_csv_text(path, text):
     path.write_text(text)
     return path
+
+
+COLUMN_NAMES = ("theta_hip", "theta_knee", "theta_ankle", "tau_ankle")
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+COLUMNS = st.integers(MIN_TRIAL_SAMPLES, 40).flatmap(
+    lambda n: st.lists(st.lists(FINITE, min_size=n, max_size=n), min_size=4, max_size=4)
+)
+ZEROS = [[0.0] * MIN_TRIAL_SAMPLES] * 4
 
 
 class TestGaitTrial:
@@ -102,6 +115,41 @@ class TestCsvRoundTrip:
         text = trial_csv_text(trial)
         path = write_csv_text(tmp_path / "t.csv", text)
         assert trial_csv_text(load_trial_csv(path)) == text
+
+    @example(trial_id=" x", mode=LocomotionMode.NormalWalk, columns=ZEROS, rate=200.0)
+    @example(trial_id="a\rb", mode=LocomotionMode.NormalWalk, columns=ZEROS, rate=200.0)
+    @example(trial_id="a\u2028b", mode=LocomotionMode.NormalWalk, columns=ZEROS, rate=200.0)
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        trial_id=st.text(min_size=1, max_size=12),
+        mode=st.sampled_from(LocomotionMode),
+        columns=COLUMNS,
+        rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_write_then_load_is_bit_identical_or_refused(
+        self, tmp_path, trial_id, mode, columns, rate
+    ):
+        trial = GaitTrial(trial_id, mode, rate, *columns)
+        path = tmp_path / "t.csv"
+        try:
+            write_trial_csv(trial, path)
+        except ConfigError:
+            return
+        loaded = load_trial_csv(path)
+        assert (loaded.trial_id, loaded.mode, loaded.sample_rate_hz) == (trial_id, mode, rate)
+        for name in COLUMN_NAMES:
+            assert getattr(loaded, name).tobytes() == getattr(trial, name).tobytes()
+
+    @pytest.mark.parametrize("trial_id", ["a,b", "a\nb", "a\rb", "a\fb", "a\u2028b", " pad "])
+    def test_unreadable_trial_id_refused_by_name(self, tmp_path, trial_id):
+        with pytest.raises(ConfigError, match=re.escape(repr(trial_id))):
+            write_trial_csv(make_trial(trial_id), tmp_path / "t.csv")
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_rate_with_non_finite_times_refused(self, tmp_path):
+        trial = GaitTrial("x", LocomotionMode.NormalWalk, 1e-310, *ZEROS)
+        with pytest.raises(ConfigError, match="sample_rate_hz 1e-310"):
+            write_trial_csv(trial, tmp_path / "t.csv")
 
     def test_rows_render_each_sample_with_repr(self):
         awkward = np.resize([-0.0, 5e-324, 1e300, 0.1 + 0.2], 20)

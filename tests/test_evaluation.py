@@ -41,8 +41,8 @@ class TestR2:
         for _ in range(100):
             y = stream.normal_block(20, 0.0, 3.0)
             pred = y + stream.normal_block(20, 0.0, 1.0)
-            scale = stream.uniform() * 4 + 0.5
-            shift = stream.normal() * 10
+            scale = stream.uniform_block(1)[0] * 4 + 0.5
+            shift = stream.normal_block(1)[0] * 10
             base = r2_score(y, pred)
             mapped = r2_score(scale * y + shift, scale * pred + shift)
             assert mapped == pytest.approx(base, abs=1e-12)

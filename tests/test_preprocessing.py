@@ -29,6 +29,7 @@ from gaitreg.preprocessing import (
     fit_normalization,
     trial_features,
 )
+from gaitreg.rng import SplitMix64, derive_seed
 from gaitreg.synth import SynthConfig, generate
 from gaitreg.data import GaitDataset, GaitTrial, LocomotionMode
 
@@ -334,11 +335,14 @@ class TestBuildFeatures:
             speed_jitter=0.0,
         )
         trial = generate(config).trials[0]
-        from gaitreg.synth import _plan_trial, _series_dphi
+        from gaitreg.synth import AMPLITUDE_JITTER, HIP_SHAPES, _series
 
-        plan, _ = _plan_trial(config, LocomotionMode.NormalWalk, 0)
+        # the trial's hip amplitude draw: second of duration, hip, knee
+        mode = LocomotionMode.NormalWalk
+        u_hip = SplitMix64(derive_seed(config.seed, mode.value, 0)).uniform_block(3)[1]
         phi = np.linspace(0.0, 1.0, trial.n_samples)
         duration = (trial.n_samples - 1) / trial.sample_rate_hz
-        analytic = _series_dphi(phi, plan.hip_shape) / duration
+        _, slope = _series(phi, HIP_SHAPES[mode], 1.0 + AMPLITUDE_JITTER * (2.0 * u_hip - 1.0))
+        analytic = slope / duration
         numeric = trial_features(trial, filt)[0][:, 1]
         assert np.abs(numeric[150:-150] - analytic[150:-150]).max() < 1e-2
