@@ -252,6 +252,10 @@ def write_trial_csv(trial: GaitTrial, path: str | Path) -> Path:
         raise ConfigError(f"trial_id {trial_id!r} cannot contain ',' or line breaks")
     if trial_id != trial_id.strip():
         raise ConfigError(f"trial_id {trial_id!r} cannot start or end with whitespace")
+    try:
+        trial_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigError(f"trial_id {trial_id!r} is not encodable as UTF-8") from None
     if not np.isfinite((trial.n_samples - 1) / trial.sample_rate_hz):
         raise ConfigError(
             f"trial {trial_id!r}: sample_rate_hz {trial.sample_rate_hz!r} gives a non-finite time"

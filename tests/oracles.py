@@ -46,6 +46,21 @@ def rbf(u, v, gamma):
     return float(np.exp(-gamma * np.dot(d, d)))
 
 
+def three_temporary_rbf_kernel(a, b, gamma):
+    """The dense RBF kernel as one expression, with its three n x m temporaries.
+
+    rbf_kernel builds the same matrix in place and must match it bit for bit.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    sq = (
+        np.sum(a**2, axis=1)[:, None]
+        + np.sum(b**2, axis=1)[None, :]
+        - 2.0 * (a @ b.T)
+    )
+    return np.exp(-gamma * np.maximum(sq, 0.0))
+
+
 def svr_dual_objective(kernel, y, alpha, alpha_star, epsilon):
     beta = alpha - alpha_star
     return float(
@@ -176,12 +191,7 @@ def masked_scan_smo(x, y, c, epsilon, gamma, tol, max_updates):
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()
     n = x.shape[0]
-    sq = (
-        np.sum(x**2, axis=1)[:, None]
-        + np.sum(x**2, axis=1)[None, :]
-        - 2.0 * (x @ x.T)
-    )
-    kernel = np.exp(-gamma * np.maximum(sq, 0.0))
+    kernel = three_temporary_rbf_kernel(x, x, gamma)
     alpha = np.zeros(n)
     alpha_star = np.zeros(n)
     c0 = y.copy()

@@ -1,11 +1,13 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import brute_force_svr_dual, masked_scan_smo, rbf
+from oracles import brute_force_svr_dual, masked_scan_smo, rbf, three_temporary_rbf_kernel
 
+import gaitreg.baselines as baselines
 from gaitreg import (
     ButterworthFilter,
     SynthConfig,
@@ -16,6 +18,7 @@ from gaitreg import (
     svr_predict,
 )
 from gaitreg.baselines import (
+    _KERNEL_BLOCK_ROWS,
     DEFAULT_SVR_MAX_UPDATES,
     fit_svr_baseline,
     grid_search_svr,
@@ -282,6 +285,27 @@ class TestKernel:
         assert np.abs(kernel - kernel.T).max() < 1e-15
         np.linalg.cholesky(kernel + 1e-10 * np.eye(30))  # raises if not PSD
 
+    def test_in_place_build_is_bit_identical_on_fold_rows(self, small_config, small_dataset):
+        # one operand for both sides, as in training: numpy's symmetric product
+        filt = ButterworthFilter.design(
+            small_config.cutoff_hz,
+            small_dataset.trials[0].sample_rate_hz,
+            small_config.filter_order,
+        )
+        blocks = feature_blocks(small_dataset, filt, small_config.filter_targets)[1:]
+        x = np.concatenate([b[0] for b in blocks])
+        x = apply_normalization(x, fit_normalization(x))
+        assert len(x) > 3 * _KERNEL_BLOCK_ROWS
+        gamma = 1.0 / x.shape[1]
+        assert np.array_equal(rbf_kernel(x, x, gamma), three_temporary_rbf_kernel(x, x, gamma))
+
+    @pytest.mark.parametrize("rows", [1, _KERNEL_BLOCK_ROWS, 2 * _KERNEL_BLOCK_ROWS + 44])
+    def test_in_place_build_is_bit_identical_on_distinct_operands(self, rows):
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(rows, 6))
+        b = rng.normal(size=(257, 6))
+        assert np.array_equal(rbf_kernel(a, b, 0.4), three_temporary_rbf_kernel(a, b, 0.4))
+
 
 class TestStandardizedBaseline:
     def test_round_trip_scales(self):
@@ -291,6 +315,50 @@ class TestStandardizedBaseline:
         baseline = fit_svr_baseline(x, y, c=10.0, epsilon=0.01, gamma=None)
         pred = predict_svr_baseline(baseline, x)
         assert np.abs(pred - y).max() < 2.0  # de-standardized to raw units
+
+    def test_shared_kernel_fits_equal_standalone_fits(self):
+        rng = np.random.default_rng(18)
+        x = rng.uniform(size=(120, 6))
+        y = np.column_stack([np.sin(4.0 * x[:, 0]), x[:, 1] * x[:, 2]])
+        baseline = fit_svr_baseline(x, y, c=10.0, epsilon=0.01, gamma=None)
+        for d, model in enumerate(baseline.models):
+            target = (y[:, d] - baseline.y_mean[d]) / baseline.y_std[d]
+            alone = svr_fit(x, target, c=10.0, epsilon=0.01)
+            assert model.n_updates > 0
+            assert np.array_equal(model.coef, alone.coef)
+            assert model.bias == alone.bias
+            assert model.n_updates == alone.n_updates
+
+    def test_fit_holds_one_n_by_n_array(self):
+        n = 1500
+        rng = np.random.default_rng(19)
+        x = rng.uniform(size=(n, 6))
+        y = np.column_stack([np.sin(4.0 * x[:, 0]), x[:, 1] * x[:, 2]])
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # capped: memory, not the fit
+                fit_svr_baseline(x, y, max_updates=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two kernels, or one built through n x n temporaries, reach 2-3 n^2 * 8
+        assert peak < 1.25 * n * n * 8
+
+    def test_mismatched_targets_refused_before_the_kernel_build(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("kernel built for an unusable fit")
+
+        monkeypatch.setattr(baselines, "rbf_kernel", no_build)
+        with pytest.raises(ConfigError, match="need matching x"):
+            fit_svr_baseline(np.zeros((6, 2)), np.zeros((5, 2)))
+
+    @pytest.mark.parametrize("shape", [(5, 5), (6, 5), (36,)])
+    def test_kernel_of_wrong_shape_refused(self, shape):
+        x = np.linspace(0.0, 1.0, 12).reshape(6, 2)
+        with pytest.raises(ConfigError, match=r"kernel of shape .* given for 6 training rows"):
+            svr_fit(x, x[:, 0], kernel=np.zeros(shape))
 
 
 class TestGridSearch:

@@ -119,6 +119,7 @@ class TestCsvRoundTrip:
     @example(trial_id=" x", mode=LocomotionMode.NormalWalk, columns=ZEROS, rate=200.0)
     @example(trial_id="a\rb", mode=LocomotionMode.NormalWalk, columns=ZEROS, rate=200.0)
     @example(trial_id="a\u2028b", mode=LocomotionMode.NormalWalk, columns=ZEROS, rate=200.0)
+    @example(trial_id="a\ud800", mode=LocomotionMode.NormalWalk, columns=ZEROS, rate=200.0)
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         trial_id=st.text(min_size=1, max_size=12),
@@ -140,7 +141,9 @@ class TestCsvRoundTrip:
         for name in COLUMN_NAMES:
             assert getattr(loaded, name).tobytes() == getattr(trial, name).tobytes()
 
-    @pytest.mark.parametrize("trial_id", ["a,b", "a\nb", "a\rb", "a\fb", "a\u2028b", " pad "])
+    @pytest.mark.parametrize(
+        "trial_id", ["a,b", "a\nb", "a\rb", "a\fb", "a\u2028b", " pad ", "a\ud800"]
+    )
     def test_unreadable_trial_id_refused_by_name(self, tmp_path, trial_id):
         with pytest.raises(ConfigError, match=re.escape(repr(trial_id))):
             write_trial_csv(make_trial(trial_id), tmp_path / "t.csv")

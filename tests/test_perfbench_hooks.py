@@ -13,10 +13,20 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+import gaitreg.baselines as baselines
 import gaitreg.evaluation as evaluation
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
 def gaitreg_reads(path):
@@ -61,12 +71,26 @@ def test_gaitreg_binds_every_name_the_benchmark_reads():
 
 
 def test_tracer_installs_and_restores_its_hooks():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_tracer()
     originals = {name: getattr(evaluation, name) for name in ("grid_search_svr", "trial_features")}
     with tracer.installed(tracer.Tracer()):
         for name, fn in originals.items():
             assert getattr(evaluation, name).__wrapped__ is fn
     for name, fn in originals.items():
         assert getattr(evaluation, name) is fn
+
+
+def test_tracer_sees_one_kernel_build_and_both_smo_fits_of_an_svr_fold():
+    tracer = load_tracer()
+    rng = np.random.default_rng(3)
+    x = rng.uniform(size=(60, 6))
+    y = np.column_stack([np.sin(4.0 * x[:, 0]), x[:, 1] * x[:, 2]])
+    run = tracer.Tracer()
+    with tracer.installed(run), run.root(tracer.ROOT_LOOCV):
+        baselines.fit_svr_baseline(x, y)
+    doc = {"spans": run.spans, "counters": run.counters, "step_flops": 0, "ipc_bytes": 0}
+    metrics = tracer.layer_metrics(doc)
+    assert sum(span[0] == "baselines.svr_fit" for span in run.spans) == 2
+    assert metrics["baselines.kernel_builds"] == 1
+    assert metrics["baselines.distinct_kernel_ratio"] == 1.0
+    assert metrics["baselines.smo_updates"] > 0

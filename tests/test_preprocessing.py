@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from oracles import (
     butterworth_warped_magnitude,
     dft_energy_fraction,
@@ -87,6 +88,19 @@ class TestFilterDesign:
             _, h = signal.sosfreqz(sos, worN=freqs, fs=fs)
             mine = np.array([filt.magnitude(f) for f in freqs])
             assert np.abs(mine - np.abs(h)).max() < 1e-9
+
+    @given(
+        order=st.integers(1, 8),
+        cutoff_frac=st.floats(0.001, 0.499),
+        fs=st.floats(1.0, 1e4),
+    )
+    def test_random_designs_have_unit_dc_gain(self, order, cutoff_frac, fs):
+        filt = ButterworthFilter.design(cutoff_frac * fs, fs, order)
+        dc = 1.0
+        for b0, b1, b2, a1, a2 in filt.sections:  # H(z) at z = 1
+            dc *= (b0 + b1 + b2) / (1.0 + a1 + a2)
+        assert abs(dc - 1.0) <= 1e-9
+        assert abs(filt.magnitude(0.0) - 1.0) <= 1e-9
 
     def test_cutoff_above_nyquist_rejected(self):
         with pytest.raises(ConfigError, match="cutoff"):
@@ -277,6 +291,24 @@ class TestNormalization:
         params = fit_normalization(rows)
         back = apply_normalization(rows, params) * (params.maxs - params.mins) + params.mins
         assert np.abs(back - rows).max() < 1e-12
+
+    @given(
+        rows=st.integers(2, 40).flatmap(
+            lambda n: arrays(np.float64, (n, 6), elements=st.floats(-1e6, 1e6))
+        ),
+        flat=st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    def test_round_trip_unit_interval_and_degenerate_columns(self, rows, flat):
+        rows[:, flat] = rows[0, flat]
+        params = fit_normalization(rows)
+        out = apply_normalization(rows, params)
+        degenerate = params.degenerate
+        assert degenerate[flat].all()
+        assert np.all(out[:, degenerate] == 0.0)
+        assert out.min() >= 0.0 and out.max() <= 1.0
+        back = out * (params.maxs - params.mins) + params.mins
+        scale = max(1.0, float(np.abs(rows).max()))
+        assert np.abs(back - rows).max() <= 1e-12 * scale
 
 
 class TestSpectralEnergy:
