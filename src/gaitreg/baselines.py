@@ -58,12 +58,16 @@ class LinearModel:
     intercept: np.ndarray  # (n_outputs,)
 
 
-def linear_fit(x: np.ndarray, y: np.ndarray) -> LinearModel:
+def linear_fit(
+    x: np.ndarray, y: np.ndarray, *, design: Optional[np.ndarray] = None
+) -> LinearModel:
     """Least squares via orthogonal decomposition (numpy lstsq / SVD).
 
     Rank-deficient designs fall back to the minimum-norm solution with a
     warning instead of failing.  A design LAPACK cannot decompose (one holding
-    NaN, say) raises TrainError.
+    NaN, say) raises TrainError.  design, if given, is an (n, n_features + 1)
+    float64 buffer that the fit overwrites with [x, 1]; run_loocv reuses one
+    across folds.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -71,7 +75,13 @@ def linear_fit(x: np.ndarray, y: np.ndarray) -> LinearModel:
         y = y[:, None]
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ConfigError(f"design {x.shape} and targets {y.shape} do not align")
-    design = np.column_stack([x, np.ones(x.shape[0])])
+    shape = (x.shape[0], x.shape[1] + 1)
+    if design is None:
+        design = np.empty(shape)
+    elif np.shape(design) != shape:
+        raise ConfigError(f"design buffer of shape {np.shape(design)} given for a {shape} design")
+    design[:, :-1] = x
+    design[:, -1] = 1.0
     try:
         coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     except np.linalg.LinAlgError as exc:
@@ -364,14 +374,16 @@ def grid_search_svr(
     n_folds: int = 3,
     tol: float = DEFAULT_SVR_TOL,
     max_updates: int = DEFAULT_SVR_MAX_UPDATES,
-) -> tuple[float, float, float]:
+) -> tuple[tuple[float, float, float], int, int]:
     """Pick (C, epsilon, gamma) by mean validation RMSE over trial-level folds.
 
     blocks holds one already-scaled (inputs, targets) pair per trial.
     Trial t goes to fold t % n_folds; the score of a triple is the RMSE
     over all validation rows and both targets, averaged across folds.  Ties
     keep the lexicographically smallest triple because the grid is scanned
-    in sorted order.
+    in sorted order.  Returns (best triple, fits, capped fits): fits counts
+    every single-target SMO fit, capped fits those that stopped at
+    max_updates before reaching tol and were scored anyway.
     """
     if not (len(grid_c) and len(grid_epsilon) and len(grid_gamma)):
         raise ConfigError("hyperparameter grid must be non-empty")
@@ -392,14 +404,17 @@ def grid_search_svr(
 
     best = None
     best_score = np.inf
+    fits = capped = 0
     for c, eps, gamma in sorted(product(grid_c, grid_epsilon, grid_gamma)):
         scores = []
         for (x_train, y_train), (x_val, y_val) in folds:
             fit = fit_svr_baseline(x_train, y_train, c, eps, gamma, tol, max_updates)
+            fits += len(fit.models)
+            capped += sum(not m.converged for m in fit.models)
             err = predict_svr_baseline(fit, x_val) - y_val
             scores.append(float(np.sqrt(np.mean(err**2))))
         score = float(np.mean(scores))
         if score < best_score:
             best_score = score
             best = (float(c), float(eps), float(gamma))
-    return best
+    return best, fits, capped

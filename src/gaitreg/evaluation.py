@@ -130,16 +130,19 @@ class EvalReport:
     pooled: dict[str, dict[str, float]]
     pooled_rows: int
     missing_modes: list[str]
+    svr_grid: dict[str, int] | None = None  # SMO fit counts of the grid search, if run
 
 
-def _fit_predict(model_spec: str, config: RunConfig, fold_idx: int, x_train, y_train, x_test):
+def _fit_predict(
+    model_spec: str, config: RunConfig, fold_idx: int, x_train, y_train, x_test, design
+):
     if model_spec == "mlp":
         model = init(config.layer_dims, derive_seed(config.init_seed, fold_idx))
         tcfg = config.train_config(shuffle_seed=derive_seed(config.shuffle_seed, fold_idx))
         train(model, x_train, y_train, tcfg)
         return forward(model, x_test)
     if model_spec == "linear":
-        return linear_predict(linear_fit(x_train, y_train), x_test)
+        return linear_predict(linear_fit(x_train, y_train, design=design), x_test)
     if model_spec == "svr":
         baseline = fit_svr_baseline(
             x_train,
@@ -160,28 +163,44 @@ def _fold_params(mins: np.ndarray, maxs: np.ndarray, fold_idx: int) -> Normaliza
     return NormalizationParams(mins[keep].min(axis=0), maxs[keep].max(axis=0))
 
 
-def _run_fold(payload, fold_idx: int) -> FoldResult:
-    trials, blocks, mins, maxs, pooled_params, model_spec, config = payload
-    trial_id, mode = trials[fold_idx]
-    try:
-        train_blocks = [b for t, b in enumerate(blocks) if t != fold_idx]
-        x_raw = np.concatenate([b[0] for b in train_blocks])
-        y_train = np.concatenate([b[1] for b in train_blocks])
-        if config.paper_faithful_norm:
-            params = pooled_params
-        else:
-            params = _fold_params(mins, maxs, fold_idx)
-        x_train = apply_normalization(x_raw, params)
-        x_test = apply_normalization(blocks[fold_idx][0], params)
-        y_test = blocks[fold_idx][1]
-        y_pred = _fit_predict(model_spec, config, fold_idx, x_train, y_train, x_test)
-        r2 = {k: r2_score(y_test[:, t], y_pred[:, t]) for t, k in enumerate(TARGET_KEYS)}
-        err = {k: rmse(y_test[:, t], y_pred[:, t]) for t, k in enumerate(TARGET_KEYS)}
-    except PipelineError as exc:
-        raise type(exc)(f"fold {fold_idx} (held-out {trial_id!r}): {exc}") from None
-    return FoldResult(
-        trial_id=trial_id, mode=mode, r2=r2, rmse=err, y_true=y_test, y_pred=y_pred
-    )
+def _run_chunk(payload, indices: Sequence[int]) -> list[FoldResult]:
+    """Score the folds in indices, building each one's training rows in place.
+
+    The buffers are allocated once per chunk, sized for every stacked row;
+    a fold fills the leading rows with the other trials' rows, scales them
+    there, and the linear fit writes its design beside them.  Pages a model
+    never touches (the design, for the MLP and SVR) cost no memory.
+    """
+    trials, x_all, y_all, bounds, mins, maxs, pooled_params, model_spec, config = payload
+    x_buf = np.empty_like(x_all)
+    y_buf = np.empty_like(y_all)
+    design_buf = np.empty((x_all.shape[0], x_all.shape[1] + 1))
+    folds = []
+    for fold_idx in indices:
+        trial_id, mode = trials[fold_idx]
+        start, end = bounds[fold_idx], bounds[fold_idx + 1]
+        rows = len(x_all) - (end - start)
+        try:
+            x_train = np.concatenate([x_all[:start], x_all[end:]], out=x_buf[:rows])
+            y_train = np.concatenate([y_all[:start], y_all[end:]], out=y_buf[:rows])
+            if config.paper_faithful_norm:
+                params = pooled_params
+            else:
+                params = _fold_params(mins, maxs, fold_idx)
+            apply_normalization(x_train, params, out=x_train)
+            x_test = apply_normalization(x_all[start:end], params)
+            y_test = y_all[start:end]
+            y_pred = _fit_predict(
+                model_spec, config, fold_idx, x_train, y_train, x_test, design_buf[:rows]
+            )
+            r2 = {k: r2_score(y_test[:, t], y_pred[:, t]) for t, k in enumerate(TARGET_KEYS)}
+            err = {k: rmse(y_test[:, t], y_pred[:, t]) for t, k in enumerate(TARGET_KEYS)}
+        except PipelineError as exc:
+            raise type(exc)(f"fold {fold_idx} (held-out {trial_id!r}): {exc}") from None
+        folds.append(
+            FoldResult(trial_id=trial_id, mode=mode, r2=r2, rmse=err, y_true=y_test, y_pred=y_pred)
+        )
+    return folds
 
 
 def run_loocv(
@@ -189,16 +208,20 @@ def run_loocv(
 ) -> EvalReport:
     """Train/evaluate one model spec across every leave-one-out fold.
 
-    Every trial is filtered in one batched pass (feature_blocks) and the
-    unscaled blocks are shared by all folds.  Min-max scaling is fitted per
-    fold on the training trials only, or on the pooled data when
-    config.paper_faithful_norm is set; either way it comes from each
-    trial's column mins and maxes, computed once, so a fold's fit costs
-    O(trials) instead of O(rows) and gives fit_normalization's exact bits.
-    The optional SVR grid search runs before LOO on the same per-trial
-    blocks under pooled scaling, so every held-out trial influences the
-    chosen hyperparameters.  Results are deterministic for fixed seeds and
-    independent of the job count.
+    Every trial is filtered in one batched pass (feature_blocks), and the
+    unscaled rows of all trials are stacked once, with the trial
+    boundaries.  Min-max scaling is fitted per fold on the training trials
+    only, or on the pooled data when config.paper_faithful_norm is set;
+    either way it comes from each trial's column mins and maxes, computed
+    once, so a fold's fit costs O(trials) instead of O(rows) and gives
+    fit_normalization's exact bits.  The folds run in contiguous chunks,
+    one per worker (all of them in one chunk at jobs=1); each chunk
+    allocates its training-row, target and design buffers once and builds
+    every fold's training set in them (_run_chunk).  The optional SVR grid
+    search runs before LOO on the same per-trial blocks under pooled
+    scaling, so every held-out trial influences the chosen
+    hyperparameters; report.json then records its fit counts.  Results
+    are deterministic for fixed seeds and independent of the job count.
     """
     if model_spec not in MODEL_SPECS:
         raise ConfigError(f"unknown model spec {model_spec!r}; choose from {MODEL_SPECS}")
@@ -214,10 +237,11 @@ def run_loocv(
     maxs = np.array([x.max(axis=0) for x, _ in blocks])
     grid = model_spec == "svr" and config.svr_grid_c is not None
     pooled_params = None
+    svr_grid = None
     if config.paper_faithful_norm or grid:
         pooled_params = NormalizationParams(mins.min(axis=0), maxs.max(axis=0))
     if grid:
-        c, epsilon, gamma = grid_search_svr(
+        (c, epsilon, gamma), fits, capped = grid_search_svr(
             [(apply_normalization(x, pooled_params), y) for x, y in blocks],
             config.svr_grid_c,
             config.svr_grid_epsilon,
@@ -226,21 +250,27 @@ def run_loocv(
             tol=config.svr_tol,
             max_updates=config.svr_max_updates,
         )
+        svr_grid = {"fits": fits, "capped_fits": capped}
         # the folds, and the report's config echo, use the chosen values
         config = config.with_overrides({"svr_c": c, "svr_epsilon": epsilon, "svr_gamma": gamma})
     # each fold reads only the held-out trial's id and mode, not the dataset
     trials = [(t.trial_id, t.mode.name) for t in dataset]
-    payload = (trials, blocks, mins, maxs, pooled_params, model_spec, config)
+    bounds = np.cumsum([0] + [len(x) for x, _ in blocks])
+    x_all = np.concatenate([x for x, _ in blocks])
+    y_all = np.concatenate([y for _, y in blocks])
+    del blocks  # the folds read only the stacked rows
+    payload = (trials, x_all, y_all, bounds, mins, maxs, pooled_params, model_spec, config)
 
     n = len(dataset)
-    indices = range(n)
-    if jobs > 1:
-        # one contiguous chunk of folds per worker: pickle then stores the
-        # shared payload once per chunk instead of once per fold
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            folds = list(pool.map(_run_fold, [payload] * n, indices, chunksize=-(-n // jobs)))
+    size = -(-n // jobs)
+    chunks = [range(s, min(s + size, n)) for s in range(0, n, size)]
+    if len(chunks) > 1:
+        # a fork-started pool starts every worker at once, so one per chunk
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            done = pool.map(_run_chunk, [payload] * len(chunks), chunks)
+            folds = [fold for chunk in done for fold in chunk]
     else:
-        folds = [_run_fold(payload, i) for i in indices]
+        folds = _run_chunk(payload, chunks[0])
 
     modes: dict[str, ModeSummary] = {}
     for mode in LocomotionMode:
@@ -276,11 +306,12 @@ def run_loocv(
         pooled=pooled,
         pooled_rows=dataset.total_rows(),
         missing_modes=[m.name for m in LocomotionMode if m.name not in modes],
+        svr_grid=svr_grid,
     )
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    return {
+    out = {
         "config": report.config,
         "model_spec": report.model_spec,
         "folds": [
@@ -307,6 +338,9 @@ def report_to_dict(report: EvalReport) -> dict:
         "pooled_rows": report.pooled_rows,
         "missing_modes": report.missing_modes,
     }
+    if report.svr_grid is not None:
+        out["svr_grid"] = report.svr_grid
+    return out
 
 
 def summary_csv_text(report: EvalReport) -> str:

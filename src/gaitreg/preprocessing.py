@@ -211,10 +211,15 @@ def fit_normalization(rows: np.ndarray) -> NormalizationParams:
     return NormalizationParams(rows.min(axis=0), rows.max(axis=0))
 
 
-def apply_normalization(rows: np.ndarray, params: NormalizationParams) -> np.ndarray:
+def apply_normalization(
+    rows: np.ndarray, params: NormalizationParams, out: np.ndarray | None = None
+) -> np.ndarray:
     """(x - min) / (max - min) per column; out-of-range values are NOT clamped.
 
-    Degenerate (constant) columns map to 0.0 everywhere.
+    Degenerate (constant) columns map to 0.0 everywhere.  The result goes
+    to out when given (which may be rows itself, scaling them in place),
+    else to a new array; both routes run the same operations in the same
+    order, so they give the same bits.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != len(params.mins):
@@ -223,7 +228,8 @@ def apply_normalization(rows: np.ndarray, params: NormalizationParams) -> np.nda
         )
     span = params.maxs - params.mins
     safe = np.where(params.degenerate, 1.0, span)
-    out = (rows - params.mins) / safe
+    out = np.subtract(rows, params.mins, out=out)
+    out /= safe
     out[:, params.degenerate] = 0.0
     return out
 

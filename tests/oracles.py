@@ -73,7 +73,9 @@ def brute_force_svr_dual(x, y, c, epsilon, gamma, iters=400_000):
 
     Minimizes 1/2 (z a)' K (z a) + p' a over the box [0, C]^{2n}
     intersected with the hyperplane z' a = 0.  Projection onto the
-    feasible set is exact (bisection on the hyperplane multiplier).
+    feasible set is exact: a(lam) = clip(v - lam z, 0, C), and the
+    multiplier lam solving z' a(lam) = 0 is found by a breakpoint search
+    (the continuous quadratic knapsack, Kiwiel, Math. Prog. 112, 2008).
     Intended for tiny problems only; returns the optimal dual objective.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -84,15 +86,16 @@ def brute_force_svr_dual(x, y, c, epsilon, gamma, iters=400_000):
     z = np.concatenate([np.ones(n), -np.ones(n)])
 
     def project(v):
-        lo = -(np.abs(v).max() + c + 1.0)
-        hi = -lo
-        for _ in range(200):
-            lam = 0.5 * (lo + hi)
-            if np.sum(z * np.clip(v - lam * z, 0.0, c)) > 0.0:
-                lo = lam
-            else:
-                hi = lam
-        return np.clip(v - 0.5 * (lo + hi) * z, 0.0, c)
+        # s(lam) = z' a(lam) falls from nC to -nC, linearly between the
+        # breakpoints where a component of v - lam z crosses 0 or C.  k is
+        # the last breakpoint with s >= 0, so s(b_k) >= 0 > s(b_k+1) and the
+        # root is interpolated on a segment with nonzero slope; on a flat
+        # stretch of s = 0 the root is its right end, b_k itself.
+        breaks = np.sort(np.concatenate([z * v, z * (v - c)]))
+        sums = (z * np.clip(v - breaks[:, None] * z, 0.0, c)).sum(axis=1)
+        k = np.flatnonzero(sums >= 0.0)[-1]
+        lam = breaks[k] + sums[k] * (breaks[k + 1] - breaks[k]) / (sums[k] - sums[k + 1])
+        return np.clip(v - lam * z, 0.0, c)
 
     lipschitz = 2.0 * float(np.linalg.eigvalsh(kernel).max()) + 1e-9
     step = 1.0 / lipschitz

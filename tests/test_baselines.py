@@ -83,6 +83,25 @@ class TestLinearFit:
         with pytest.raises(TrainError, match=r"least squares failed on a \(10, 7\) design"):
             linear_fit(x, np.arange(10.0))
 
+    def test_design_buffer_fit_is_bit_identical(self):
+        stream = SplitMix64(5)
+        x = stream.uniform_block(240).reshape(40, 6)
+        y = stream.normal_block(80, 0.0, 4.0).reshape(40, 2)
+        # the leading rows of a larger, dirty buffer, as a LOO chunk hands it over
+        buf = np.full((55, 7), np.nan)
+        plain = linear_fit(x, y)
+        buffered = linear_fit(x, y, design=buf[:40])
+        assert np.array_equal(buffered.weights, plain.weights)
+        assert np.array_equal(buffered.intercept, plain.intercept)
+        assert np.array_equal(buf[:40, :6], x) and np.all(buf[:40, 6] == 1.0)
+        assert np.isnan(buf[40:]).all()
+
+    @pytest.mark.parametrize("shape", [(39, 7), (40, 6), (40,)])
+    def test_design_buffer_of_wrong_shape_refused(self, shape):
+        x = SplitMix64(6).uniform_block(240).reshape(40, 6)
+        with pytest.raises(ConfigError, match=r"design buffer of shape .* for a \(40, 7\)"):
+            linear_fit(x, np.arange(40.0), design=np.empty(shape))
+
 
 class TestSvrFit:
     def test_single_point_within_tube(self):
@@ -393,18 +412,18 @@ class TestGridSearch:
         return float(np.mean(scores))
 
     def test_singleton_grid(self, linear_blocks):
-        best = grid_search_svr(linear_blocks, [3.0], [0.1], [0.5], n_folds=2)
+        best, _, _ = grid_search_svr(linear_blocks, [3.0], [0.1], [0.5], n_folds=2)
         assert best == (3.0, 0.1, 0.5)
 
     def test_tie_breaks_lexicographically(self, linear_blocks):
         # duplicated values in the grid force exact score ties
-        best = grid_search_svr(linear_blocks, [2.0, 2.0], [0.1], [0.5, 0.5], n_folds=2)
+        best, _, _ = grid_search_svr(linear_blocks, [2.0, 2.0], [0.1], [0.5, 0.5], n_folds=2)
         assert best == (2.0, 0.1, 0.5)
 
     def test_selected_model_close_to_linear_oracle(self, linear_blocks):
         # on affine data the exact-fit linear model bounds what any
         # reasonable grid-selected SVR should achieve (same fold protocol)
-        best = grid_search_svr(
+        best, _, _ = grid_search_svr(
             linear_blocks, [1.0, 10.0, 100.0], [0.01, 0.1], [1.0 / 6.0, 1.0], n_folds=2
         )
         lin_rmse = self._mean_rmse(linear_blocks, linear_fit, linear_predict)
@@ -414,6 +433,18 @@ class TestGridSearch:
             predict_svr_baseline,
         )
         assert svr_rmse <= 2.0 * lin_rmse
+
+    def test_counts_fits_and_capped_fits(self, linear_blocks):
+        # 2 triples x 2 folds x 2 targets; one update cannot reach tol
+        with pytest.warns(RuntimeWarning, match="update cap"):
+            _, fits, capped = grid_search_svr(
+                linear_blocks, [1.0, 10.0], [0.1], [0.5], n_folds=2, max_updates=1
+            )
+        assert (fits, capped) == (8, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, fits, capped = grid_search_svr(linear_blocks, [1.0, 10.0], [0.1], [0.5], n_folds=2)
+        assert (fits, capped) == (8, 0)
 
     def test_empty_grid_rejected(self, linear_blocks):
         with pytest.raises(ConfigError, match="non-empty"):

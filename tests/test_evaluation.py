@@ -181,11 +181,15 @@ class TestRunLoocv:
                 "svr_max_updates": 500,
             }
         )
-        report = run_loocv(small_dataset, "svr", config)
+        with pytest.warns(RuntimeWarning, match="update cap"):
+            report = run_loocv(small_dataset, "svr", config)
         assert report.config["svr_c"] in (1.0, 10.0)
         assert report.config["svr_epsilon"] == 0.05
         assert report.config["svr_grid_c"] == [1.0, 10.0]
         assert calls == [list(small_dataset.trial_ids)]
+        # 2 triples x 2 folds x 2 targets, some stopped by the 500-update cap
+        grid = _as_json(report)["svr_grid"]
+        assert grid["fits"] == 8 and 0 < grid["capped_fits"] <= 8
 
     def test_fold_scaling_from_trial_extrema_matches_fit(self, small_dataset, small_config):
         from gaitreg.evaluation import _fold_params
@@ -200,6 +204,102 @@ class TestRunLoocv:
             params = _fold_params(mins, maxs, k)
             assert np.array_equal(params.mins, fitted.mins)
             assert np.array_equal(params.maxs, fitted.maxs)
+
+    @pytest.mark.parametrize("paper_faithful_norm", [False, True])
+    def test_fold_training_rows_match_concatenated_blocks(
+        self, small_dataset, small_config, monkeypatch, paper_faithful_norm
+    ):
+        import gaitreg.evaluation as evaluation
+        from gaitreg.preprocessing import (
+            ButterworthFilter,
+            apply_normalization,
+            feature_blocks,
+            fit_normalization,
+        )
+
+        config = small_config.with_overrides({"paper_faithful_norm": paper_faithful_norm})
+        seen = {}
+        original = evaluation._fit_predict
+
+        def capturing(model_spec, cfg, fold_idx, x_train, y_train, x_test, design):
+            seen[fold_idx] = (x_train.copy(), y_train.copy(), x_train.flags.c_contiguous)
+            return original(model_spec, cfg, fold_idx, x_train, y_train, x_test, design)
+
+        monkeypatch.setattr(evaluation, "_fit_predict", capturing)
+        run_loocv(small_dataset, "linear", config)
+        filt = ButterworthFilter.design(config.cutoff_hz, 200.0, config.filter_order)
+        blocks = feature_blocks(small_dataset, filt)
+        assert len({len(x) for x, _ in blocks}) > 1  # trials of unequal length
+        pooled = fit_normalization(np.concatenate([x for x, _ in blocks]))
+        last = len(blocks) - 1
+        for k in (0, last // 2, last):
+            others = blocks[:k] + blocks[k + 1 :]
+            x_raw = np.concatenate([x for x, _ in others])
+            params = pooled if paper_faithful_norm else fit_normalization(x_raw)
+            x_train, y_train, contiguous = seen[k]
+            assert np.array_equal(x_train, apply_normalization(x_raw, params))
+            assert np.array_equal(y_train, np.concatenate([y for _, y in others]))
+            assert contiguous
+
+    @pytest.mark.parametrize("model_spec", ["linear", "mlp"])
+    def test_chunk_builds_every_fold_in_one_buffer(
+        self, small_dataset, small_config, monkeypatch, model_spec
+    ):
+        import gaitreg.evaluation as evaluation
+
+        seen = []
+        original = evaluation._fit_predict
+
+        def recording(model_spec, cfg, fold_idx, x_train, y_train, x_test, design):
+            seen.append((x_train, y_train, design))
+            return original(model_spec, cfg, fold_idx, x_train, y_train, x_test, design)
+
+        monkeypatch.setattr(evaluation, "_fit_predict", recording)
+        run_loocv(small_dataset, model_spec, small_config)
+        assert len(seen) == len(small_dataset)
+        first = seen[0]
+        for arrays in seen[1:]:
+            for array, buffer in zip(arrays, first):
+                assert np.shares_memory(array, buffer)
+
+    def test_pool_workers_bounded_by_chunks(self, small_dataset, small_config, monkeypatch):
+        import gaitreg.evaluation as evaluation
+
+        workers = []
+
+        class InProcessPool:
+            """Records max_workers and maps in this process, so no process starts."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, **kwargs):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InProcessPool)
+        five = GaitDataset(small_dataset.trials[:5])
+        serial = _as_json(run_loocv(five, "linear", small_config))
+        for jobs, chunks in ((64, 5), (3, 3), (2, 2)):
+            pooled = _as_json(run_loocv(five, "linear", small_config, jobs=jobs))
+            assert workers[-1] == chunks
+            assert pooled == serial
+        assert len(workers) == 3
+
+    def test_uneven_chunks_give_identical_reports(self, small_dataset, small_config, tmp_path):
+        # 5 folds over 3 workers run as chunks of 2, 2 and 1
+        five = GaitDataset(small_dataset.trials[:5])
+        trees = {}
+        for jobs in (1, 3):
+            out = tmp_path / f"jobs{jobs}"
+            emit_report(run_loocv(five, "linear", small_config, jobs=jobs), out)
+            trees[jobs] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert trees[1] == trees[3]
 
     def test_single_trial_rejected(self, small_dataset, small_config):
         with pytest.raises(ConfigError, match="at least 2 trials, got 1"):

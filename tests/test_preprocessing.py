@@ -282,6 +282,15 @@ class TestNormalization:
         out = apply_normalization(np.array([[3.0, 6.0]]), params)
         assert out[0, 0] == 0.0 and out[0, 1] == 0.5
 
+    def test_in_place_scaling_is_bit_identical(self):
+        rows = np.random.default_rng(3).normal(size=(40, 6)) * 30 + 5
+        rows[:, 2] = 4.0
+        params = fit_normalization(rows[:25])
+        expected = apply_normalization(rows, params)
+        out = rows.copy()
+        assert apply_normalization(out, params, out=out) is out
+        assert np.array_equal(out, expected) and np.all(out[:, 2] == 0.0)
+
     def test_two_identical_rows_all_degenerate(self):
         params = fit_normalization(np.tile([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]], (2, 1)))
         assert params.degenerate.all()
