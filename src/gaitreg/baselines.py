@@ -130,16 +130,16 @@ def _checked_gamma(x, y, c, epsilon, gamma, tol, max_updates) -> float:
     """The fit's gamma (1 / n_features by default), once its rows and settings are checked."""
     if x.shape[0] < 1 or len(y) != x.shape[0]:
         raise ConfigError(f"need matching x {x.shape} and y {y.shape}")
-    if c <= 0.0 or epsilon < 0.0:
-        raise ConfigError(f"need C > 0 and epsilon >= 0, got C={c}, epsilon={epsilon}")
+    if not (0.0 < c < math.inf and 0.0 <= epsilon < math.inf):  # NaN fails every comparison
+        raise ConfigError(f"need finite C > 0 and epsilon >= 0, got C={c}, epsilon={epsilon}")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigError(f"tol must be positive and finite, got {tol}")
     if max_updates < 1:
         raise ConfigError(f"max_updates must be >= 1, got {max_updates}")
     if gamma is None:
         gamma = 1.0 / x.shape[1]
-    if gamma <= 0.0:
-        raise ConfigError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < math.inf:
+        raise ConfigError(f"gamma must be positive and finite, got {gamma}")
     return gamma
 
 
@@ -286,7 +286,7 @@ def svr_fit(
     else:
         bias = (m_up + m_low) / 2.0 if math.isfinite(m_up + m_low) else 0.0
 
-    k_coef = kernel @ coef
+    k_coef = y - c0  # the K beta that the updates kept, so no n x n pass
     dual = float(
         0.5 * coef @ k_coef + epsilon * (alpha.sum() + alpha_star.sum()) - y @ coef
     )

@@ -143,24 +143,14 @@ class RunConfig:
             out[f.name] = value
         return out
 
+    def _build(self, cls, **replaced):
+        """cls from this config's fields of the same names, except those replaced."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)} | replaced)
+
     def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            seed=self.seed,
-            trials_per_mode={
-                LocomotionMode[name]: count for name, count in self.trials_per_mode.items()
-            },
-            samples_per_trial=self.samples_per_trial,
-            noise_std_deg=self.noise_std_deg,
-            speed_jitter=self.speed_jitter,
-            linear_mode=self.linear_mode,
-        )
+        trials = {LocomotionMode[name]: count for name, count in self.trials_per_mode.items()}
+        return self._build(SynthConfig, trials_per_mode=trials)
 
     def train_config(self, shuffle_seed: Optional[int] = None) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-            l2_penalty=self.l2_penalty,
-            batch_size=self.batch_size,
-            shuffle_seed=self.shuffle_seed if shuffle_seed is None else shuffle_seed,
-        )
+        seed = self.shuffle_seed if shuffle_seed is None else shuffle_seed
+        return self._build(TrainConfig, shuffle_seed=seed)

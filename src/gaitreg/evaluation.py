@@ -31,13 +31,13 @@ from .ioutil import atomic_write_text
 from .mlp import forward, init, train
 from .preprocessing import (
     ButterworthFilter,
-    NormalizationParams,
     apply_normalization,
     feature_blocks,
+    fit_normalization,
 )
 # not called here; bound so perfbench/tracer.py can patch them by name
 from .data import loo_splits  # noqa: F401
-from .preprocessing import fit_normalization, trial_features  # noqa: F401
+from .preprocessing import trial_features  # noqa: F401
 from .rng import derive_seed
 from .svgplot import band_plot_svg
 
@@ -143,24 +143,16 @@ def _fit_predict(
         return forward(model, x_test)
     if model_spec == "linear":
         return linear_predict(linear_fit(x_train, y_train, design=design), x_test)
-    if model_spec == "svr":
-        baseline = fit_svr_baseline(
-            x_train,
-            y_train,
-            c=config.svr_c,
-            epsilon=config.svr_epsilon,
-            gamma=config.svr_gamma,
-            tol=config.svr_tol,
-            max_updates=config.svr_max_updates,
-        )
-        return predict_svr_baseline(baseline, x_test)
-    raise ConfigError(f"unknown model spec {model_spec!r}; choose from {MODEL_SPECS}")
-
-
-def _fold_params(mins: np.ndarray, maxs: np.ndarray, fold_idx: int) -> NormalizationParams:
-    """fit_normalization of every trial's rows but fold_idx's, from per-trial extrema."""
-    keep = np.arange(len(mins)) != fold_idx
-    return NormalizationParams(mins[keep].min(axis=0), maxs[keep].max(axis=0))
+    baseline = fit_svr_baseline(  # run_loocv has checked model_spec
+        x_train,
+        y_train,
+        c=config.svr_c,
+        epsilon=config.svr_epsilon,
+        gamma=config.svr_gamma,
+        tol=config.svr_tol,
+        max_updates=config.svr_max_updates,
+    )
+    return predict_svr_baseline(baseline, x_test)
 
 
 def _run_chunk(payload, indices: Sequence[int]) -> list[FoldResult]:
@@ -171,22 +163,17 @@ def _run_chunk(payload, indices: Sequence[int]) -> list[FoldResult]:
     there, and the linear fit writes its design beside them.  Pages a model
     never touches (the design, for the MLP and SVR) cost no memory.
     """
-    trials, x_all, y_all, bounds, mins, maxs, pooled_params, model_spec, config = payload
+    x_all, y_all, records, model_spec, config = payload
     x_buf = np.empty_like(x_all)
     y_buf = np.empty_like(y_all)
     design_buf = np.empty((x_all.shape[0], x_all.shape[1] + 1))
     folds = []
     for fold_idx in indices:
-        trial_id, mode = trials[fold_idx]
-        start, end = bounds[fold_idx], bounds[fold_idx + 1]
+        trial_id, mode, start, end, params = records[fold_idx]
         rows = len(x_all) - (end - start)
         try:
             x_train = np.concatenate([x_all[:start], x_all[end:]], out=x_buf[:rows])
             y_train = np.concatenate([y_all[:start], y_all[end:]], out=y_buf[:rows])
-            if config.paper_faithful_norm:
-                params = pooled_params
-            else:
-                params = _fold_params(mins, maxs, fold_idx)
             apply_normalization(x_train, params, out=x_train)
             x_test = apply_normalization(x_all[start:end], params)
             y_test = y_all[start:end]
@@ -210,18 +197,20 @@ def run_loocv(
 
     Every trial is filtered in one batched pass (feature_blocks), and the
     unscaled rows of all trials are stacked once, with the trial
-    boundaries.  Min-max scaling is fitted per fold on the training trials
-    only, or on the pooled data when config.paper_faithful_norm is set;
-    either way it comes from each trial's column mins and maxes, computed
-    once, so a fold's fit costs O(trials) instead of O(rows) and gives
-    fit_normalization's exact bits.  The folds run in contiguous chunks,
-    one per worker (all of them in one chunk at jobs=1); each chunk
-    allocates its training-row, target and design buffers once and builds
-    every fold's training set in them (_run_chunk).  The optional SVR grid
-    search runs before LOO on the same per-trial blocks under pooled
-    scaling, so every held-out trial influences the chosen
-    hyperparameters; report.json then records its fit counts.  Results
-    are deterministic for fixed seeds and independent of the job count.
+    boundaries.  Each fold gets one record, (trial_id, mode, start, end,
+    params): the held-out trial and its row span, and the min-max scaling
+    that fit_normalization fits here on the training trials only (on all
+    trials when config.paper_faithful_norm is set).  The fit reads each
+    trial's 2-row block of column mins and maxs, not its rows: min and max
+    are exact, so the bits are the same at O(trials) cost per fold.  The
+    folds run in contiguous chunks, one per worker (all of them in one
+    chunk at jobs=1); each chunk allocates its training-row, target and
+    design buffers once and builds every fold's training set in them
+    (_run_chunk).  The optional SVR grid search runs before LOO on the same
+    per-trial blocks under the pooled scaling, so every held-out trial
+    influences the chosen hyperparameters; report.json then records its
+    fit counts.  Results are deterministic for fixed seeds and independent
+    of the job count.
     """
     if model_spec not in MODEL_SPECS:
         raise ConfigError(f"unknown model spec {model_spec!r}; choose from {MODEL_SPECS}")
@@ -233,14 +222,10 @@ def run_loocv(
         config.cutoff_hz, dataset.trials[0].sample_rate_hz, config.filter_order
     )
     blocks = feature_blocks(dataset, base_filter, config.filter_targets)
-    mins = np.array([x.min(axis=0) for x, _ in blocks])
-    maxs = np.array([x.max(axis=0) for x, _ in blocks])
-    grid = model_spec == "svr" and config.svr_grid_c is not None
-    pooled_params = None
+    extrema = [np.stack([x.min(axis=0), x.max(axis=0)]) for x, _ in blocks]
+    pooled_params = fit_normalization(np.concatenate(extrema))
     svr_grid = None
-    if config.paper_faithful_norm or grid:
-        pooled_params = NormalizationParams(mins.min(axis=0), maxs.max(axis=0))
-    if grid:
+    if model_spec == "svr" and config.svr_grid_c is not None:
         (c, epsilon, gamma), fits, capped = grid_search_svr(
             [(apply_normalization(x, pooled_params), y) for x, y in blocks],
             config.svr_grid_c,
@@ -253,13 +238,17 @@ def run_loocv(
         svr_grid = {"fits": fits, "capped_fits": capped}
         # the folds, and the report's config echo, use the chosen values
         config = config.with_overrides({"svr_c": c, "svr_epsilon": epsilon, "svr_gamma": gamma})
-    # each fold reads only the held-out trial's id and mode, not the dataset
-    trials = [(t.trial_id, t.mode.name) for t in dataset]
-    bounds = np.cumsum([0] + [len(x) for x, _ in blocks])
+    bounds = np.cumsum([0] + [len(x) for x, _ in blocks]).tolist()
+    records = []
+    for k, trial in enumerate(dataset):
+        params = pooled_params
+        if not config.paper_faithful_norm:
+            params = fit_normalization(np.concatenate(extrema[:k] + extrema[k + 1 :]))
+        records.append((trial.trial_id, trial.mode.name, bounds[k], bounds[k + 1], params))
     x_all = np.concatenate([x for x, _ in blocks])
     y_all = np.concatenate([y for _, y in blocks])
     del blocks  # the folds read only the stacked rows
-    payload = (trials, x_all, y_all, bounds, mins, maxs, pooled_params, model_spec, config)
+    payload = (x_all, y_all, records, model_spec, config)
 
     n = len(dataset)
     size = -(-n // jobs)

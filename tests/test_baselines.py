@@ -379,6 +379,21 @@ class TestStandardizedBaseline:
         with pytest.raises(ConfigError, match=r"kernel of shape .* given for 6 training rows"):
             svr_fit(x, x[:, 0], kernel=np.zeros(shape))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["c", "epsilon", "gamma"])
+    def test_non_finite_setting_refused_naming_the_value(self, name, value):
+        # each of these used to run to the update cap and return non-finite coefs
+        named = {
+            "c": f"C={value}",
+            "epsilon": f"epsilon={value}",
+            "gamma": f"gamma must be positive and finite, got {value}",
+        }[name]
+        x = np.linspace(0.0, 1.0, 60).reshape(30, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cap or invalid-value warning first
+            with pytest.raises(ConfigError, match=named):
+                svr_fit(x, np.sin(4.0 * x[:, 0]), max_updates=500, **{name: value})
+
 
 class TestGridSearch:
     @staticmethod

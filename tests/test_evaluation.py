@@ -191,20 +191,6 @@ class TestRunLoocv:
         grid = _as_json(report)["svr_grid"]
         assert grid["fits"] == 8 and 0 < grid["capped_fits"] <= 8
 
-    def test_fold_scaling_from_trial_extrema_matches_fit(self, small_dataset, small_config):
-        from gaitreg.evaluation import _fold_params
-        from gaitreg.preprocessing import ButterworthFilter, feature_blocks, fit_normalization
-
-        filt = ButterworthFilter.design(small_config.cutoff_hz, 200.0, small_config.filter_order)
-        inputs = [x for x, _ in feature_blocks(small_dataset, filt)]
-        mins = np.array([x.min(axis=0) for x in inputs])
-        maxs = np.array([x.max(axis=0) for x in inputs])
-        for k in range(len(inputs)):
-            fitted = fit_normalization(np.concatenate(inputs[:k] + inputs[k + 1 :]))
-            params = _fold_params(mins, maxs, k)
-            assert np.array_equal(params.mins, fitted.mins)
-            assert np.array_equal(params.maxs, fitted.maxs)
-
     @pytest.mark.parametrize("paper_faithful_norm", [False, True])
     def test_fold_training_rows_match_concatenated_blocks(
         self, small_dataset, small_config, monkeypatch, paper_faithful_norm
@@ -222,7 +208,7 @@ class TestRunLoocv:
         original = evaluation._fit_predict
 
         def capturing(model_spec, cfg, fold_idx, x_train, y_train, x_test, design):
-            seen[fold_idx] = (x_train.copy(), y_train.copy(), x_train.flags.c_contiguous)
+            seen[fold_idx] = (x_train.copy(), y_train.copy(), x_test, x_train.flags.c_contiguous)
             return original(model_spec, cfg, fold_idx, x_train, y_train, x_test, design)
 
         monkeypatch.setattr(evaluation, "_fit_predict", capturing)
@@ -231,14 +217,16 @@ class TestRunLoocv:
         blocks = feature_blocks(small_dataset, filt)
         assert len({len(x) for x, _ in blocks}) > 1  # trials of unequal length
         pooled = fit_normalization(np.concatenate([x for x, _ in blocks]))
-        last = len(blocks) - 1
-        for k in (0, last // 2, last):
+        assert sorted(seen) == list(range(len(blocks)))
+        for k, (x_held, _) in enumerate(blocks):
             others = blocks[:k] + blocks[k + 1 :]
             x_raw = np.concatenate([x for x, _ in others])
+            # scaling fitted on the training rows themselves, or on every row
             params = pooled if paper_faithful_norm else fit_normalization(x_raw)
-            x_train, y_train, contiguous = seen[k]
+            x_train, y_train, x_test, contiguous = seen[k]
             assert np.array_equal(x_train, apply_normalization(x_raw, params))
             assert np.array_equal(y_train, np.concatenate([y for _, y in others]))
+            assert np.array_equal(x_test, apply_normalization(x_held, params))
             assert contiguous
 
     @pytest.mark.parametrize("model_spec", ["linear", "mlp"])

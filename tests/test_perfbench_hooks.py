@@ -72,7 +72,8 @@ def test_gaitreg_binds_every_name_the_benchmark_reads():
 
 def test_tracer_installs_and_restores_its_hooks():
     tracer = load_tracer()
-    originals = {name: getattr(evaluation, name) for name in ("grid_search_svr", "trial_features")}
+    names = ("grid_search_svr", "trial_features", "fit_normalization")
+    originals = {name: getattr(evaluation, name) for name in names}
     with tracer.installed(tracer.Tracer()):
         for name, fn in originals.items():
             assert getattr(evaluation, name).__wrapped__ is fn
@@ -94,3 +95,15 @@ def test_tracer_sees_one_kernel_build_and_both_smo_fits_of_an_svr_fold():
     assert metrics["baselines.kernel_builds"] == 1
     assert metrics["baselines.distinct_kernel_ratio"] == 1.0
     assert metrics["baselines.smo_updates"] > 0
+
+
+def test_traced_loocv_spans_every_fold_scaling_fit(small_dataset, small_config):
+    tracer = load_tracer()
+    run = tracer.Tracer()
+    with tracer.installed(run):
+        report = evaluation.run_loocv(small_dataset, "linear", small_config)
+    [loocv] = [i for i, span in enumerate(run.spans) if span[0] == "evaluation.run_loocv"]
+    fits = [span for span in run.spans if span[0] == "preprocessing.fit_normalization"]
+    # one fit per fold and the pooled one, all made by run_loocv itself
+    assert len(fits) == len(report.folds) + 1
+    assert all(span[3] == loocv for span in fits)
