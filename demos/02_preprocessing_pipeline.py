@@ -46,10 +46,10 @@ fractions = [
 print(f"\nhip-angle energy fraction below 6 Hz: min {min(fractions):.4f} over {len(fractions)} trials")
 
 # build_features assembles the 6-column input matrix and the 2-column targets.
-features = build_features(dataset, filt)
-print(f"\nfeature matrix: {features.inputs.shape}, targets: {features.targets.shape}")
+inputs, targets = build_features(dataset, filt)
+print(f"\nfeature matrix: {inputs.shape}, targets: {targets.shape}")
 print("columns: theta_hip, dtheta_hip, ddtheta_hip, theta_knee, dtheta_knee, ddtheta_knee")
-print(f"training inputs span [{features.inputs.min():.3f}, {features.inputs.max():.3f}]")
+print(f"training inputs span [{inputs.min():.3f}, {inputs.max():.3f}]")
 
 # Held-out scaling, as in every leave-one-out fold of run_loocv: fit the
 # min-max range on the training trials' unnormalized features only, then

@@ -34,8 +34,8 @@ report = run_loocv(dataset, "mlp", config)
 print(f"\n{'mode':<14} {'R2 angle':>10} {'R2 moment':>10} {'RMSE deg':>10} {'RMSE Nm':>9}")
 for mode, summary in report.modes.items():
     print(
-        f"{mode:<14} {summary.r2_mean['theta']:>10.3f} {summary.r2_mean['tau']:>10.3f} "
-        f"{summary.rmse_mean['theta']:>10.2f} {summary.rmse_mean['tau']:>9.2f}"
+        f"{mode:<14} {summary['r2_mean']['theta']:>10.3f} {summary['r2_mean']['tau']:>10.3f} "
+        f"{summary['rmse_mean']['theta']:>10.2f} {summary['rmse_mean']['tau']:>9.2f}"
     )
 print(f"\npooled over all held-out rows: R2 angle {report.pooled['r2']['theta']:.3f}, "
       f"R2 moment {report.pooled['r2']['tau']:.3f}")

@@ -36,12 +36,12 @@ for spec in ("linear", "svr", "mlp"):
 print(f"\n{'model':<8} {'target':<8} " + " ".join(f"{m[:8]:>9}" for m in reports["mlp"].modes))
 for spec, report in reports.items():
     for key, label in (("theta", "angle"), ("tau", "moment")):
-        row = " ".join(f"{report.modes[m].r2_mean[key]:>9.3f}" for m in report.modes)
+        row = " ".join(f"{report.modes[m]['r2_mean'][key]:>9.3f}" for m in report.modes)
         print(f"{spec:<8} {label:<8} {row}")
 
 means = {
     spec: float(np.mean([
-        [s.r2_mean["theta"], s.r2_mean["tau"]] for s in rep.modes.values()
+        [s["r2_mean"]["theta"], s["r2_mean"]["tau"]] for s in rep.modes.values()
     ]))
     for spec, rep in reports.items()
 }

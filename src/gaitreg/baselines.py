@@ -126,21 +126,24 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
-def _checked_gamma(x, y, c, epsilon, gamma, tol, max_updates) -> float:
-    """The fit's gamma (1 / n_features by default), once its rows and settings are checked."""
-    if x.shape[0] < 1 or len(y) != x.shape[0]:
-        raise ConfigError(f"need matching x {x.shape} and y {y.shape}")
+def check_svr_settings(c, epsilon, gamma, tol, max_updates) -> None:
+    """Raise ConfigError unless SMO can run with these settings; gamma None is allowed."""
     if not (0.0 < c < math.inf and 0.0 <= epsilon < math.inf):  # NaN fails every comparison
         raise ConfigError(f"need finite C > 0 and epsilon >= 0, got C={c}, epsilon={epsilon}")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigError(f"tol must be positive and finite, got {tol}")
     if max_updates < 1:
         raise ConfigError(f"max_updates must be >= 1, got {max_updates}")
-    if gamma is None:
-        gamma = 1.0 / x.shape[1]
-    if not 0.0 < gamma < math.inf:
+    if gamma is not None and not 0.0 < gamma < math.inf:
         raise ConfigError(f"gamma must be positive and finite, got {gamma}")
-    return gamma
+
+
+def _checked_gamma(x, y, c, epsilon, gamma, tol, max_updates) -> float:
+    """The fit's gamma (1 / n_features by default), once its rows and settings are checked."""
+    if x.shape[0] < 1 or len(y) != x.shape[0]:
+        raise ConfigError(f"need matching x {x.shape} and y {y.shape}")
+    check_svr_settings(c, epsilon, gamma, tol, max_updates)
+    return 1.0 / x.shape[1] if gamma is None else gamma
 
 
 @dataclass(frozen=True)

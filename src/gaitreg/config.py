@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field, fields
+from itertools import product
 from pathlib import Path
 from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
@@ -18,8 +19,8 @@ from .baselines import (
     DEFAULT_SVR_EPSILON,
     DEFAULT_SVR_MAX_UPDATES,
     DEFAULT_SVR_TOL,
+    check_svr_settings,
 )
-from .data import LocomotionMode
 from .errors import ConfigError
 from .mlp import DEFAULT_LAYER_DIMS, TrainConfig
 from .preprocessing import DEFAULT_CUTOFF_HZ, DEFAULT_FILTER_ORDER
@@ -27,10 +28,6 @@ from .synth import DEFAULT_TRIALS_PER_MODE, SynthConfig
 
 # the JSON types each declared field type admits; bool is never a number
 _TYPES = {bool: bool, int: int, float: (int, float), dict: dict, list: list, tuple: (list, tuple)}
-
-
-def _default_trials() -> dict:
-    return {mode.name: count for mode, count in DEFAULT_TRIALS_PER_MODE.items()}
 
 
 def _admits(hint, value) -> bool:
@@ -49,7 +46,7 @@ def _admits(hint, value) -> bool:
 class RunConfig:
     # synthetic data
     seed: int = SynthConfig.seed
-    trials_per_mode: dict[str, int] = field(default_factory=_default_trials)
+    trials_per_mode: dict[str, int] = field(default_factory=DEFAULT_TRIALS_PER_MODE.copy)
     samples_per_trial: int = SynthConfig.samples_per_trial
     noise_std_deg: float = SynthConfig.noise_std_deg
     speed_jitter: float = SynthConfig.speed_jitter
@@ -89,11 +86,7 @@ class RunConfig:
         for f in fields(self):
             if not _admits(hints[f.name], getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
-        trials = dict(self.trials_per_mode)
-        for name in trials:
-            if name not in LocomotionMode.__members__:
-                raise ConfigError(f"trials_per_mode key {name!r} is not a locomotion mode")
-        object.__setattr__(self, "trials_per_mode", trials)
+        object.__setattr__(self, "trials_per_mode", dict(self.trials_per_mode))
         dims = self.layer_dims  # the six input features in, angle and moment out
         if len(dims) < 2 or dims[0] != 6 or dims[-1] != 2 or min(dims) < 1:
             raise ConfigError(f"layer_dims must be >= 2 positive sizes from 6 to 2, got {dims}")
@@ -105,6 +98,12 @@ class RunConfig:
                 "svr_grid_c, svr_grid_epsilon, and svr_grid_gamma must be set "
                 "together as non-empty lists"
             )
+        if self.svr_grid_folds < 2:
+            raise ConfigError(f"svr_grid_folds must be >= 2, got {self.svr_grid_folds}")
+        # an unusable SMO setting fails here, before any model is fitted
+        grid = product(*grids) if self.svr_grid_c is not None else ()
+        for c, epsilon, gamma in [(self.svr_c, self.svr_epsilon, self.svr_gamma), *grid]:
+            check_svr_settings(c, epsilon, gamma, self.svr_tol, self.svr_max_updates)
         # delegate range checks to the dataclasses that use the values
         self.synth_config()
         self.train_config()
@@ -121,8 +120,8 @@ class RunConfig:
     def from_file(cls, path: str | Path) -> "RunConfig":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+            raise ConfigError(f"{path}: cannot read a JSON config: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         return cls.from_dict(data)
@@ -148,8 +147,7 @@ class RunConfig:
         return cls(**{f.name: getattr(self, f.name) for f in fields(cls)} | replaced)
 
     def synth_config(self) -> SynthConfig:
-        trials = {LocomotionMode[name]: count for name, count in self.trials_per_mode.items()}
-        return self._build(SynthConfig, trials_per_mode=trials)
+        return self._build(SynthConfig)
 
     def train_config(self, shuffle_seed: Optional[int] = None) -> TrainConfig:
         seed = self.shuffle_seed if shuffle_seed is None else shuffle_seed

@@ -111,22 +111,13 @@ def phase_mae_curve(
 
 
 @dataclass
-class ModeSummary:
-    n_trials: int
-    r2_mean: dict[str, float]
-    r2_sd: dict[str, float]
-    rmse_mean: dict[str, float]
-    rmse_sd: dict[str, float]
-    phase_mae: dict[str, np.ndarray]  # keys theta, tau
-    phase_se: dict[str, np.ndarray]
-
-
-@dataclass
 class EvalReport:
     config: dict
     model_spec: str
     folds: list[FoldResult]
-    modes: dict[str, ModeSummary]
+    # report.json's per-mode entries, in mode order: n_trials, the r2_/rmse_
+    # mean and sd per target, and phase_mae's theta, tau, se_theta, se_tau lists
+    modes: dict[str, dict]
     pooled: dict[str, dict[str, float]]
     pooled_rows: int
     missing_modes: list[str]
@@ -261,7 +252,7 @@ def run_loocv(
     else:
         folds = _run_chunk(payload, chunks[0])
 
-    modes: dict[str, ModeSummary] = {}
+    modes = {}
     for mode in LocomotionMode:
         mode_folds = sorted(
             (f for f in folds if f.mode == mode.name), key=lambda f: f.trial_id
@@ -271,15 +262,19 @@ def run_loocv(
         _, mae, se = phase_mae_curve(mode_folds, config.phase_bins)
         r2s = {k: np.array([f.r2[k] for f in mode_folds]) for k in TARGET_KEYS}
         rmses = {k: np.array([f.rmse[k] for f in mode_folds]) for k in TARGET_KEYS}
-        modes[mode.name] = ModeSummary(
-            n_trials=len(mode_folds),
-            r2_mean={k: float(v.mean()) for k, v in r2s.items()},
-            r2_sd={k: float(v.std(ddof=1)) if len(v) > 1 else 0.0 for k, v in r2s.items()},
-            rmse_mean={k: float(v.mean()) for k, v in rmses.items()},
-            rmse_sd={k: float(v.std(ddof=1)) if len(v) > 1 else 0.0 for k, v in rmses.items()},
-            phase_mae={k: mae[:, t] for t, k in enumerate(TARGET_KEYS)},
-            phase_se={k: se[:, t] for t, k in enumerate(TARGET_KEYS)},
-        )
+        modes[mode.name] = {
+            "n_trials": len(mode_folds),
+            "r2_mean": {k: float(v.mean()) for k, v in r2s.items()},
+            "r2_sd": {k: float(v.std(ddof=1)) if len(v) > 1 else 0.0 for k, v in r2s.items()},
+            "rmse_mean": {k: float(v.mean()) for k, v in rmses.items()},
+            "rmse_sd": {k: float(v.std(ddof=1)) if len(v) > 1 else 0.0 for k, v in rmses.items()},
+            "phase_mae": {
+                "theta": mae[:, 0].tolist(),
+                "tau": mae[:, 1].tolist(),
+                "se_theta": se[:, 0].tolist(),
+                "se_tau": se[:, 1].tolist(),
+            },
+        }
 
     y_true_all = np.concatenate([f.y_true for f in folds])
     y_pred_all = np.concatenate([f.y_pred for f in folds])
@@ -307,22 +302,7 @@ def report_to_dict(report: EvalReport) -> dict:
             {"trial_id": f.trial_id, "mode": f.mode, "r2": f.r2, "rmse": f.rmse}
             for f in report.folds
         ],
-        "modes": {
-            name: {
-                "n_trials": s.n_trials,
-                "r2_mean": s.r2_mean,
-                "r2_sd": s.r2_sd,
-                "rmse_mean": s.rmse_mean,
-                "rmse_sd": s.rmse_sd,
-                "phase_mae": {
-                    "theta": s.phase_mae["theta"].tolist(),
-                    "tau": s.phase_mae["tau"].tolist(),
-                    "se_theta": s.phase_se["theta"].tolist(),
-                    "se_tau": s.phase_se["tau"].tolist(),
-                },
-            }
-            for name, s in report.modes.items()
-        },
+        "modes": report.modes,
         "pooled": report.pooled,
         "pooled_rows": report.pooled_rows,
         "missing_modes": report.missing_modes,
@@ -333,16 +313,11 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def summary_csv_text(report: EvalReport) -> str:
-    lines = ["mode,target,r2_mean,r2_sd,rmse_mean,rmse_sd"]
-    for mode in LocomotionMode:
-        summary = report.modes.get(mode.name)
-        if summary is None:
-            continue
+    stats = ("r2_mean", "r2_sd", "rmse_mean", "rmse_sd")
+    lines = [",".join(("mode", "target") + stats)]
+    for name, summary in report.modes.items():
         for key in TARGET_KEYS:
-            lines.append(
-                f"{mode.name},{key},{summary.r2_mean[key]!r},{summary.r2_sd[key]!r},"
-                f"{summary.rmse_mean[key]!r},{summary.rmse_sd[key]!r}"
-            )
+            lines.append(",".join([name, key] + [repr(summary[s][key]) for s in stats]))
     return "\n".join(lines) + "\n"
 
 
@@ -358,20 +333,18 @@ def emit_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
     ]
     units = {"theta": "MAE (deg)", "tau": "MAE (Nm)"}
     titles = {"theta": "ankle angle", "tau": "ankle moment"}
-    for mode in LocomotionMode:
-        summary = report.modes.get(mode.name)
-        if summary is None:
-            continue
-        grid = np.linspace(0.0, 100.0, len(summary.phase_mae["theta"]))
+    for name, summary in report.modes.items():
+        curves = summary["phase_mae"]
+        grid = np.linspace(0.0, 100.0, len(curves["theta"]))
         for key in TARGET_KEYS:
             svg = band_plot_svg(
                 grid,
-                summary.phase_mae[key],
-                summary.phase_se[key],
-                title=f"{mode.name}: {titles[key]} error vs gait phase",
+                curves[key],
+                curves[f"se_{key}"],
+                title=f"{name}: {titles[key]} error vs gait phase",
                 x_label="gait phase (%)",
                 y_label=units[key],
                 divider_x=STANCE_SWING_BOUNDARY,
             )
-            written.append(atomic_write_text(out_dir / f"phase_mae_{mode.name}_{key}.svg", svg))
+            written.append(atomic_write_text(out_dir / f"phase_mae_{name}_{key}.svg", svg))
     return written

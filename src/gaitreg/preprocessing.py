@@ -264,22 +264,6 @@ def spectral_energy_fraction(
     return float(power[folded_hz <= threshold_hz].sum() / total)
 
 
-@dataclass(frozen=True)
-class FeatureDataset:
-    """Row-per-timestep features and targets, trials stacked in dataset order.
-
-    inputs:   (n, 6) feature matrix, min-max scaled over these rows
-    targets:  (n, 2) [theta_ankle_deg, tau_ankle_Nm], never normalized
-    """
-
-    inputs: np.ndarray
-    targets: np.ndarray
-
-    @property
-    def n_rows(self) -> int:
-        return self.inputs.shape[0]
-
-
 def _input_columns(hip: np.ndarray, knee: np.ndarray, dt: float) -> np.ndarray:
     """The (n, 6) unnormalized input columns from the filtered angles."""
     hip_v = differentiate(hip, dt)
@@ -342,15 +326,15 @@ def trial_features(
 
 def build_features(
     dataset: GaitDataset, filt: ButterworthFilter, filter_targets: bool = True
-) -> FeatureDataset:
-    """Stack every trial's feature_blocks rows into one matrix scaled over them.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(inputs, targets) of every trial's feature_blocks rows, stacked in dataset order.
 
-    run_loocv works on the per-trial blocks directly and fits the scaling
-    per fold; this whole-dataset view serves library callers and demos.
+    inputs is the (n, 6) matrix min-max scaled over these rows; targets,
+    (n, 2) [theta_ankle_deg, tau_ankle_Nm], are never scaled.  run_loocv
+    works on the per-trial blocks directly and fits the scaling per fold;
+    this whole-dataset view serves library callers and demos.
     """
     blocks = feature_blocks(dataset, filt, filter_targets)
     inputs = np.concatenate([b[0] for b in blocks])
-    return FeatureDataset(
-        inputs=apply_normalization(inputs, fit_normalization(inputs)),
-        targets=np.concatenate([b[1] for b in blocks]),
-    )
+    targets = np.concatenate([b[1] for b in blocks])
+    return apply_normalization(inputs, fit_normalization(inputs)), targets

@@ -45,11 +45,11 @@ SYNTH_SAMPLE_RATE_HZ = 200.0
 AMPLITUDE_JITTER = 0.04
 
 DEFAULT_TRIALS_PER_MODE = {
-    LocomotionMode.NormalWalk: 10,
-    LocomotionMode.StairAscent: 8,
-    LocomotionMode.StairDescent: 8,
-    LocomotionMode.SlopeAscent: 8,
-    LocomotionMode.SlopeDescent: 7,
+    "NormalWalk": 10,
+    "StairAscent": 8,
+    "StairDescent": 8,
+    "SlopeAscent": 8,
+    "SlopeDescent": 7,
 }
 
 # Fourier tables, degrees: (a0, (a1, a2, a3), (b1, b2, b3)) with
@@ -112,7 +112,7 @@ class SynthConfig:
     """Knobs of the generator; everything else is fixed by the tables above."""
 
     seed: int = 20240
-    trials_per_mode: dict = field(default_factory=lambda: dict(DEFAULT_TRIALS_PER_MODE))
+    trials_per_mode: dict[str, int] = field(default_factory=DEFAULT_TRIALS_PER_MODE.copy)
     samples_per_trial: int = 122
     noise_std_deg: float = 0.25
     speed_jitter: float = 0.05
@@ -120,11 +120,11 @@ class SynthConfig:
 
     def __post_init__(self):
         counts = dict(self.trials_per_mode)
-        for mode, count in counts.items():
-            if not isinstance(mode, LocomotionMode):
-                raise ConfigError(f"trials_per_mode key {mode!r} is not a LocomotionMode")
+        for name, count in counts.items():
+            if name not in LocomotionMode.__members__:
+                raise ConfigError(f"trials_per_mode key {name!r} is not a locomotion mode name")
             if count < 1:
-                raise ConfigError(f"trials_per_mode[{mode.name}] must be >= 1, got {count}")
+                raise ConfigError(f"trials_per_mode[{name}] must be >= 1, got {count}")
         object.__setattr__(self, "trials_per_mode", counts)
         if self.samples_per_trial < MIN_TRIAL_SAMPLES:
             raise ConfigError(
@@ -207,7 +207,7 @@ def generate(config: SynthConfig) -> GaitDataset:
     """Generate the full dataset; identical config gives identical output."""
     trials = []
     for mode in LocomotionMode:
-        for index in range(config.trials_per_mode.get(mode, 0)):
+        for index in range(config.trials_per_mode.get(mode.name, 0)):
             (hip, knee, theta_ankle, tau_ankle), stream = _trial(config, mode, index)
             if config.noise_std_deg > 0.0:
                 noise = stream.normal_block(3 * len(hip), 0.0, config.noise_std_deg).reshape(3, -1)
@@ -234,10 +234,10 @@ def ground_truth(trial_id: str, config: SynthConfig) -> tuple[np.ndarray, np.nda
         index = int(idx_str)
     except (KeyError, ValueError):
         raise PipelineError(f"unknown trial_id {trial_id!r}") from None
-    if not 0 <= index < config.trials_per_mode.get(mode, 0):
+    count = config.trials_per_mode.get(name, 0)
+    if not 0 <= index < count:
         raise PipelineError(
-            f"trial_id {trial_id!r} not produced by this config "
-            f"({config.trials_per_mode.get(mode, 0)} trials for {mode.name})"
+            f"trial_id {trial_id!r} not produced by this config ({count} trials for {name})"
         )
     (_, _, theta_ankle, tau_ankle), _ = _trial(config, mode, index)
     return theta_ankle, tau_ankle

@@ -116,10 +116,10 @@ def test_criterion_5_linear_recovery():
     worst = min(min(f.r2["theta"], f.r2["tau"]) for f in report.folds)
     assert worst >= 0.999, f"worst per-fold R^2 {worst}"
     filt = ButterworthFilter.design(6.0, FS, 4)
-    features = build_features(dataset, filt, filter_targets=False)
-    model = linear_fit(features.inputs, features.targets)
-    residual = linear_predict(model, features.inputs) - features.targets
-    design = np.column_stack([features.inputs, np.ones(features.n_rows)])
+    inputs, targets = build_features(dataset, filt, filter_targets=False)
+    model = linear_fit(inputs, targets)
+    residual = linear_predict(model, inputs) - targets
+    design = np.column_stack([inputs, np.ones(len(inputs))])
     ortho = float(np.abs(design.T @ residual).max())
     assert ortho < 1e-8, f"residual orthogonality {ortho:.2e}"
     print(f"ACCEPTANCE 5 PASS: worst fold R^2 {worst:.6f}, ||X'r||_inf {ortho:.1e}")
@@ -155,9 +155,10 @@ def test_criterion_7_shared_model_per_mode_r2(mlp_default_report):
     lines = []
     for mode, summary in report.modes.items():
         for key in ("theta", "tau"):
-            mean_r2 = summary.r2_mean[key]
+            mean_r2 = summary["r2_mean"][key]
             assert mean_r2 >= 0.90, f"{mode}/{key} mean R^2 {mean_r2:.3f} < 0.90"
-        lines.append(f"{mode} R2 theta={summary.r2_mean['theta']:.3f} tau={summary.r2_mean['tau']:.3f}")
+        r2 = summary["r2_mean"]
+        lines.append(f"{mode} R2 theta={r2['theta']:.3f} tau={r2['tau']:.3f}")
     print(f"ACCEPTANCE 7 PASS ({report.runtime_s:.0f}s): " + "; ".join(lines))
 
 
@@ -218,7 +219,7 @@ def test_criterion_10_swing_moment_error(mlp_default_report, default_config):
     swing = grid > 60.0
     worst = 0.0
     for mode, summary in mlp_default_report.modes.items():
-        swing_mae = float(summary.phase_mae["tau"][swing].mean())
+        swing_mae = float(np.asarray(summary["phase_mae"]["tau"])[swing].mean())
         worst = max(worst, swing_mae)
         assert swing_mae < 1.0, f"{mode} swing tau MAE {swing_mae:.3f} Nm"
     print(f"ACCEPTANCE 10 PASS: worst per-mode swing-phase tau MAE {worst:.3f} Nm")
@@ -242,7 +243,7 @@ def test_compare_example_mlp_within_margin_of_svr():
 
     def overall_mean(report):
         return float(np.mean([
-            [s.r2_mean["theta"], s.r2_mean["tau"]] for s in report.modes.values()
+            [s["r2_mean"]["theta"], s["r2_mean"]["tau"]] for s in report.modes.values()
         ]))
 
     mlp_mean = overall_mean(mlp_report)

@@ -25,7 +25,6 @@ from gaitreg.baselines import (
     predict_svr_baseline,
     rbf_kernel,
 )
-from gaitreg.data import LocomotionMode
 from gaitreg.errors import ConfigError, TrainError
 from gaitreg.preprocessing import (
     apply_normalization,
@@ -401,7 +400,7 @@ class TestGridSearch:
     def linear_blocks():
         config = SynthConfig(
             seed=77,
-            trials_per_mode={LocomotionMode.NormalWalk: 6},
+            trials_per_mode={"NormalWalk": 6},
             samples_per_trial=60,
             noise_std_deg=0.2,
             linear_mode=True,

@@ -316,6 +316,19 @@ class TestConfigBoundary:
         [line] = err
         assert line.startswith("error: ") and str(bad) in line
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_path_exits_2_naming_it(self, capsys, tmp_path, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        code, err = main_in_process(
+            capsys, "synth", "--config", str(path), "--out", str(tmp_path / "out")
+        )
+        assert code == 2
+        [line] = err
+        assert line.startswith("error: ") and str(path) in line
+        assert not (tmp_path / "out").exists()
+
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_override_of_another_json_type_exits_2(self, capsys, tmp_path, data):
@@ -381,6 +394,34 @@ class TestConfigBoundary:
         assert code == 2
         [line] = err
         assert line.startswith("error: ") and named in line
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            (["svr_c=-1"], "C=-1"),
+            (["svr_gamma=0"], "gamma must be positive and finite, got 0"),
+            (
+                ["svr_grid_c=[1, -2]", "svr_grid_epsilon=[0.1]", "svr_grid_gamma=[1]"],
+                "C=-2",
+            ),
+            (
+                ["svr_grid_c=[1]", "svr_grid_epsilon=[0.1]", "svr_grid_gamma=[1]",
+                 "svr_grid_folds=1"],
+                "svr_grid_folds must be >= 2, got 1",
+            ),
+        ],
+    )
+    def test_compare_with_unusable_svr_setting_exits_2_before_any_fit(
+        self, capsys, tmp_path, fuzz_data, overrides, named
+    ):
+        args = [arg for o in overrides for arg in ("--override", o)]
+        code, err = main_in_process(
+            capsys, "compare", "--data", str(fuzz_data), "--out", str(tmp_path / "out"), *args
+        )
+        assert code == 2
+        [line] = err
+        assert line.startswith("error: ") and named in line
+        assert not (tmp_path / "out").exists()
 
     def test_diverging_mlp_prints_only_its_error_line(self, tmp_path, fuzz_data):
         # a subprocess, so numpy's warnings reach stderr instead of pytest's recorder

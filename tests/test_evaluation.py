@@ -108,7 +108,7 @@ class TestRunLoocv:
         assert len(report.folds) == len(small_dataset)
         assert sorted(f.trial_id for f in report.folds) == sorted(small_dataset.trial_ids)
         assert report.pooled_rows == small_dataset.total_rows()
-        assert [s.n_trials for s in report.modes.values()] == [2, 2, 2, 2, 2]
+        assert [s["n_trials"] for s in report.modes.values()] == [2, 2, 2, 2, 2]
         assert report.missing_modes == []
 
     def test_deterministic_across_runs(self, small_dataset, small_config):
@@ -347,3 +347,8 @@ class TestEmitReport:
         mode = data["modes"]["NormalWalk"]
         assert set(mode["phase_mae"]) == {"theta", "tau", "se_theta", "se_tau"}
         assert len(mode["phase_mae"]["theta"]) == report.config["phase_bins"]
+
+    def test_json_modes_are_the_report_modes(self, report, tmp_path):
+        emit_report(report, tmp_path)
+        data = json.loads((tmp_path / "report.json").read_text())
+        assert data["modes"] == report.modes

@@ -173,12 +173,12 @@ class TestTrain:
     def test_trace_length_and_decrease(self, small_dataset, small_config):
         from gaitreg import ButterworthFilter, build_features
 
-        feats = build_features(
+        inputs, targets = build_features(
             small_dataset, ButterworthFilter.design(6.0, 200.0, 4)
         )
         model = init((6, 30, 2), 15)
         cfg = TrainConfig(epochs=30)
-        model, trace = train(model, feats.inputs, feats.targets, cfg)
+        model, trace = train(model, inputs, targets, cfg)
         assert len(trace) == 30
         assert trace[-1] < trace[0]
 

@@ -348,13 +348,13 @@ class TestSpectralEnergy:
 
 class TestBuildFeatures:
     def test_shape_contract(self, small_dataset, filt):
-        features = build_features(small_dataset, filt)
-        assert features.inputs.shape == (small_dataset.total_rows(), 6)
-        assert features.targets.shape == (small_dataset.total_rows(), 2)
-        assert features.inputs.min() >= 0.0 and features.inputs.max() <= 1.0
+        inputs, targets = build_features(small_dataset, filt)
+        assert inputs.shape == (small_dataset.total_rows(), 6)
+        assert targets.shape == (small_dataset.total_rows(), 2)
+        assert inputs.min() >= 0.0 and inputs.max() <= 1.0
 
     def test_trial_features_per_trial(self, small_dataset, filt):
-        features = build_features(small_dataset, filt)
+        _, stacked_targets = build_features(small_dataset, filt)
         targets = []
         for trial in small_dataset:
             inputs, trial_targets = trial_features(trial, filt)
@@ -362,7 +362,7 @@ class TestBuildFeatures:
             assert trial_targets.shape == (trial.n_samples, 2)
             targets.append(trial_targets)
         # build_features stacks the trials' rows in dataset order
-        assert np.array_equal(features.targets, np.concatenate(targets))
+        assert np.array_equal(stacked_targets, np.concatenate(targets))
 
     def test_velocity_matches_analytic_derivative(self, filt):
         # slow synthetic trial: the filter passes it, so the numerical
@@ -370,7 +370,7 @@ class TestBuildFeatures:
         # points (margin 150 keeps clear of the filter's edge transients,
         # which decay like |pole|^k with |pole| ~ 0.915 at this cutoff)
         config = SynthConfig(
-            trials_per_mode={LocomotionMode.NormalWalk: 1},
+            trials_per_mode={"NormalWalk": 1},
             samples_per_trial=1200,
             noise_std_deg=0.0,
             speed_jitter=0.0,

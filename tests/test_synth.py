@@ -56,6 +56,12 @@ class TestDefaultShape:
         }
         assert len(default_dataset) == 41
 
+    def test_trial_counts_are_keyed_by_mode_name(self):
+        dataset = generate(SynthConfig(trials_per_mode={"NormalWalk": 2}))
+        assert dataset.trial_ids == ("NormalWalk_00", "NormalWalk_01")
+        with pytest.raises(ConfigError, match="not a locomotion mode name"):
+            SynthConfig(trials_per_mode={LocomotionMode.NormalWalk: 2})
+
     def test_total_rows_near_5002(self, default_dataset):
         # 41 x 122 = 5002 before per-trial duration jitter; the seeded
         # default lands on 4998 (frozen: the generator is deterministic)
@@ -131,9 +137,9 @@ class TestLinearMode:
         config = SynthConfig(noise_std_deg=0.0, linear_mode=True)
         dataset = generate(config)
         filt = ButterworthFilter.design(6.0, 200.0, 4)
-        features = build_features(dataset, filt, filter_targets=False)
-        model = linear_fit(features.inputs, features.targets)
-        residual = linear_predict(model, features.inputs) - features.targets
+        inputs, targets = build_features(dataset, filt, filter_targets=False)
+        model = linear_fit(inputs, targets)
+        residual = linear_predict(model, inputs) - targets
         assert np.abs(residual).max() < 1e-9
 
     def test_targets_are_the_pipeline_features_mapped(self):
@@ -152,6 +158,6 @@ class TestLinearMode:
         with pytest.raises(ConfigError):
             SynthConfig(speed_jitter=0.7)
         with pytest.raises(ConfigError):
-            SynthConfig(trials_per_mode={LocomotionMode.NormalWalk: 0})
+            SynthConfig(trials_per_mode={"NormalWalk": 0})
         with pytest.raises(ConfigError):
             SynthConfig(samples_per_trial=8)
