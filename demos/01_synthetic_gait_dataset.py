@@ -19,10 +19,10 @@ dataset = generate(config)
 print(f"{len(dataset)} trials, {dataset.total_rows()} rows total\n")
 print(f"{'mode':<14} {'trials':>6} {'hip range (deg)':>18} {'tau range (Nm)':>16}")
 for mode, count in dataset.counts_by_mode().items():
-    hips = np.concatenate([t.theta_hip for t in dataset if t.mode is mode])
-    taus = np.concatenate([t.tau_ankle for t in dataset if t.mode is mode])
+    hips = np.concatenate([t.theta_hip for t in dataset if t.mode == mode])
+    taus = np.concatenate([t.tau_ankle for t in dataset if t.mode == mode])
     print(
-        f"{mode.name:<14} {count:>6} "
+        f"{mode:<14} {count:>6} "
         f"{hips.min():>8.1f}..{hips.max():<8.1f} "
         f"{taus.min():>7.1f}..{taus.max():<7.1f}"
     )
@@ -39,6 +39,7 @@ print(f"\n{trial.trial_id}: measured-vs-truth ankle angle noise std = {noise.std
 swing = np.linspace(0.0, 1.0, trial.n_samples) > 0.6
 print(f"moment during swing is exactly zero: {bool(np.all(clean_tau[swing] == 0.0))}")
 
-# The same dataset can be written out as one CSV per trial plus a manifest.
+# The same dataset can be written out as one CSV per trial; export_dataset
+# returns the manifest (the CLI's synth also saves it as manifest.json).
 manifest = export_dataset(config, "demos/output/trials")
 print(f"\nwrote {len(manifest['trial_ids'])} trial CSVs to demos/output/trials")

@@ -9,7 +9,6 @@ fixed header.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -23,14 +22,8 @@ MIN_TRIAL_SAMPLES = 16
 CSV_HEADER = "time_s,theta_hip_deg,theta_knee_deg,theta_ankle_deg,tau_ankle_Nm"
 
 
-class LocomotionMode(Enum):
-    """The five terrain/task categories a trial can belong to."""
-
-    NormalWalk = 0
-    StairAscent = 1
-    StairDescent = 2
-    SlopeAscent = 3
-    SlopeDescent = 4
+# the five terrain/task categories a trial can belong to, in report order
+MODES = ("NormalWalk", "StairAscent", "StairDescent", "SlopeAscent", "SlopeDescent")
 
 
 def _as_readonly(values: Sequence[float], name: str) -> np.ndarray:
@@ -44,10 +37,10 @@ def _as_readonly(values: Sequence[float], name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaitTrial:
-    """One gait cycle of joint time series; immutable after construction."""
+    """One immutable gait cycle: a mode name from MODES and four finite, equal-length columns."""
 
     trial_id: str
-    mode: LocomotionMode
+    mode: str
     sample_rate_hz: float
     theta_hip: np.ndarray
     theta_knee: np.ndarray
@@ -55,6 +48,8 @@ class GaitTrial:
     tau_ankle: np.ndarray
 
     def __post_init__(self):
+        if self.mode not in MODES:
+            raise ConfigError(f"trial {self.trial_id!r}: unknown locomotion mode {self.mode!r}")
         for name in ("theta_hip", "theta_knee", "theta_ankle", "tau_ankle"):
             column = _as_readonly(getattr(self, name), name)
             finite = np.isfinite(column)
@@ -115,11 +110,10 @@ class GaitDataset:
     def total_rows(self) -> int:
         return sum(t.n_samples for t in self.trials)
 
-    def counts_by_mode(self) -> dict[LocomotionMode, int]:
-        counts = {m: 0 for m in LocomotionMode}
-        for t in self.trials:
-            counts[t.mode] += 1
-        return {m: c for m, c in counts.items() if c > 0}
+    def counts_by_mode(self) -> dict[str, int]:
+        """Trial count per mode name, in MODES order; absent modes are left out."""
+        counts = [(m, sum(t.mode == m for t in self.trials)) for m in MODES]
+        return {m: c for m, c in counts if c > 0}
 
 
 def loo_splits(dataset: GaitDataset) -> list[tuple[GaitTrial, GaitDataset]]:
@@ -137,7 +131,7 @@ def loo_splits(dataset: GaitDataset) -> list[tuple[GaitTrial, GaitDataset]]:
     return splits
 
 
-def _parse_meta_line(line: str, path: Path) -> tuple[str, LocomotionMode, float]:
+def _parse_meta_line(line: str, path: Path) -> tuple[str, str, float]:
     if not line.startswith("#"):
         raise ParseError(f"{path}: line 1 must start with '#' metadata, got {line[:40]!r}")
     body = line[1:].strip()
@@ -153,10 +147,8 @@ def _parse_meta_line(line: str, path: Path) -> tuple[str, LocomotionMode, float]
         if key.strip() != expect:
             raise ParseError(f"{path}: line 1 expected key {expect!r}, got {key.strip()!r}")
         values[expect] = value.strip()
-    try:
-        mode = LocomotionMode[values["mode"]]
-    except KeyError:
-        raise ParseError(f"{path}: line 1 unknown locomotion mode {values['mode']!r}") from None
+    if values["mode"] not in MODES:
+        raise ParseError(f"{path}: line 1 unknown locomotion mode {values['mode']!r}")
     try:
         fs = float(values["sample_rate_hz"])
     except ValueError:
@@ -165,7 +157,7 @@ def _parse_meta_line(line: str, path: Path) -> tuple[str, LocomotionMode, float]
         ) from None
     if not (fs > 0.0 and np.isfinite(fs)):
         raise ParseError(f"{path}: line 1 sample_rate_hz {fs!r} must be positive and finite")
-    return values["trial_id"], mode, fs
+    return values["trial_id"], values["mode"], fs
 
 
 def load_trial_csv(path: str | Path) -> GaitTrial:
@@ -234,7 +226,7 @@ def load_trial_csv(path: str | Path) -> GaitTrial:
 def trial_csv_text(trial: GaitTrial) -> str:
     """Render a trial to CSV text; floats use repr so reload is exact."""
     out = [
-        f"# trial_id={trial.trial_id},mode={trial.mode.name},"
+        f"# trial_id={trial.trial_id},mode={trial.mode},"
         f"sample_rate_hz={float(trial.sample_rate_hz)!r}",
         CSV_HEADER,
     ]

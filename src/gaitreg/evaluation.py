@@ -25,7 +25,7 @@ from .baselines import (
     predict_svr_baseline,
 )
 from .config import RunConfig
-from .data import GaitDataset, LocomotionMode
+from .data import MODES, GaitDataset
 from .errors import ConfigError, MetricError, PipelineError
 from .ioutil import atomic_write_text
 from .mlp import forward, init, train
@@ -235,7 +235,7 @@ def run_loocv(
         params = pooled_params
         if not config.paper_faithful_norm:
             params = fit_normalization(np.concatenate(extrema[:k] + extrema[k + 1 :]))
-        records.append((trial.trial_id, trial.mode.name, bounds[k], bounds[k + 1], params))
+        records.append((trial.trial_id, trial.mode, bounds[k], bounds[k + 1], params))
     x_all = np.concatenate([x for x, _ in blocks])
     y_all = np.concatenate([y for _, y in blocks])
     del blocks  # the folds read only the stacked rows
@@ -253,16 +253,14 @@ def run_loocv(
         folds = _run_chunk(payload, chunks[0])
 
     modes = {}
-    for mode in LocomotionMode:
-        mode_folds = sorted(
-            (f for f in folds if f.mode == mode.name), key=lambda f: f.trial_id
-        )
+    for mode in MODES:
+        mode_folds = sorted((f for f in folds if f.mode == mode), key=lambda f: f.trial_id)
         if not mode_folds:
             continue
         _, mae, se = phase_mae_curve(mode_folds, config.phase_bins)
         r2s = {k: np.array([f.r2[k] for f in mode_folds]) for k in TARGET_KEYS}
         rmses = {k: np.array([f.rmse[k] for f in mode_folds]) for k in TARGET_KEYS}
-        modes[mode.name] = {
+        modes[mode] = {
             "n_trials": len(mode_folds),
             "r2_mean": {k: float(v.mean()) for k, v in r2s.items()},
             "r2_sd": {k: float(v.std(ddof=1)) if len(v) > 1 else 0.0 for k, v in r2s.items()},
@@ -289,7 +287,7 @@ def run_loocv(
         modes=modes,
         pooled=pooled,
         pooled_rows=dataset.total_rows(),
-        missing_modes=[m.name for m in LocomotionMode if m.name not in modes],
+        missing_modes=[m for m in MODES if m not in modes],
         svr_grid=svr_grid,
     )
 

@@ -6,6 +6,11 @@ import os
 import tempfile
 from pathlib import Path
 
+# mkstemp creates its file 0600; outputs get the mode a plain open() gives.
+# The umask can only be read by setting it, so it is read once, at import.
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
     """Write text to path via a temp file + rename in the same directory."""
@@ -15,6 +20,7 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)
     except BaseException:
         try:

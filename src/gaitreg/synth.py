@@ -29,7 +29,7 @@ from math import pi
 from pathlib import Path
 import numpy as np
 
-from .data import MIN_TRIAL_SAMPLES, GaitDataset, GaitTrial, LocomotionMode, write_trial_csv
+from .data import MIN_TRIAL_SAMPLES, MODES, GaitDataset, GaitTrial, write_trial_csv
 from .errors import ConfigError, PipelineError
 from .preprocessing import (
     DEFAULT_CUTOFF_HZ,
@@ -55,19 +55,19 @@ DEFAULT_TRIALS_PER_MODE = {
 # Fourier tables, degrees: (a0, (a1, a2, a3), (b1, b2, b3)) with
 # theta(phi) = a0 + sum_k a_k cos(2 pi k phi) + b_k sin(2 pi k phi).
 HIP_SHAPES = {
-    LocomotionMode.NormalWalk: (8.0, (22.0, 3.0, 1.2), (6.0, -2.0, 0.8)),
-    LocomotionMode.StairAscent: (20.0, (26.0, 5.0, 1.5), (2.0, -3.5, 1.0)),
-    LocomotionMode.StairDescent: (-2.0, (14.0, 4.5, 0.8), (9.0, 1.5, 1.2)),
-    LocomotionMode.SlopeAscent: (14.0, (24.0, 4.0, 1.0), (5.0, -2.5, 0.6)),
-    LocomotionMode.SlopeDescent: (3.0, (15.0, 2.5, 0.9), (7.0, -1.0, 1.1)),
+    "NormalWalk": (8.0, (22.0, 3.0, 1.2), (6.0, -2.0, 0.8)),
+    "StairAscent": (20.0, (26.0, 5.0, 1.5), (2.0, -3.5, 1.0)),
+    "StairDescent": (-2.0, (14.0, 4.5, 0.8), (9.0, 1.5, 1.2)),
+    "SlopeAscent": (14.0, (24.0, 4.0, 1.0), (5.0, -2.5, 0.6)),
+    "SlopeDescent": (3.0, (15.0, 2.5, 0.9), (7.0, -1.0, 1.1)),
 }
 
 KNEE_SHAPES = {
-    LocomotionMode.NormalWalk: (28.0, (-18.0, 9.0, 2.0), (14.0, 5.0, -1.5)),
-    LocomotionMode.StairAscent: (42.0, (-26.0, 7.0, 2.5), (18.0, 2.5, -2.0)),
-    LocomotionMode.StairDescent: (36.0, (-28.0, 12.0, 3.0), (4.0, 7.0, -2.5)),
-    LocomotionMode.SlopeAscent: (32.0, (-21.0, 8.0, 1.8), (16.0, 4.0, -1.0)),
-    LocomotionMode.SlopeDescent: (24.0, (-15.0, 11.0, 2.2), (9.0, 6.0, -1.8)),
+    "NormalWalk": (28.0, (-18.0, 9.0, 2.0), (14.0, 5.0, -1.5)),
+    "StairAscent": (42.0, (-26.0, 7.0, 2.5), (18.0, 2.5, -2.0)),
+    "StairDescent": (36.0, (-28.0, 12.0, 3.0), (4.0, 7.0, -2.5)),
+    "SlopeAscent": (32.0, (-21.0, 8.0, 1.8), (16.0, 4.0, -1.0)),
+    "SlopeDescent": (24.0, (-15.0, 11.0, 2.2), (9.0, 6.0, -1.8)),
 }
 
 # Ankle-angle map g, degrees:
@@ -75,21 +75,21 @@ KNEE_SHAPES = {
 # with dimensionless states uh = theta_hip/30, uk = theta_knee/40,
 # vh = dtheta_hip/300, vk = dtheta_knee/400.
 ANKLE_COEF = {
-    LocomotionMode.NormalWalk: (-3.0, 6.0, -5.0, 2.5, -2.0, 3.5, 4.0, 0.3),
-    LocomotionMode.StairAscent: (-2.5, 6.6, -5.5, 2.2, -2.2, 3.8, 4.4, 0.8),
-    LocomotionMode.StairDescent: (-3.6, 5.4, -4.5, 2.8, -1.8, 3.2, 3.6, -0.2),
-    LocomotionMode.SlopeAscent: (-2.8, 6.3, -5.2, 2.4, -2.1, 3.6, 4.2, 0.5),
-    LocomotionMode.SlopeDescent: (-3.3, 5.7, -4.8, 2.6, -1.9, 3.3, 3.8, 0.0),
+    "NormalWalk": (-3.0, 6.0, -5.0, 2.5, -2.0, 3.5, 4.0, 0.3),
+    "StairAscent": (-2.5, 6.6, -5.5, 2.2, -2.2, 3.8, 4.4, 0.8),
+    "StairDescent": (-3.6, 5.4, -4.5, 2.8, -1.8, 3.2, 3.6, -0.2),
+    "SlopeAscent": (-2.8, 6.3, -5.2, 2.4, -2.1, 3.6, 4.2, 0.5),
+    "SlopeDescent": (-3.3, 5.7, -4.8, 2.6, -1.9, 3.3, 3.8, 0.0),
 }
 
 # Moment map h, newton-meters (before the stance window):
 #   h = d0 + d1*uh + d2*uk + d3*vh + d4*vk + d5*uh*uk + d6*sin(1.3*uk + 0.9*uh + d7)
 TAU_COEF = {
-    LocomotionMode.NormalWalk: (-20.0, -10.0, 7.0, -4.0, 3.0, -6.0, 8.0, 0.4),
-    LocomotionMode.StairAscent: (-22.0, -11.0, 7.7, -3.6, 3.3, -6.6, 8.8, 0.9),
-    LocomotionMode.StairDescent: (-18.0, -9.0, 6.3, -4.4, 2.7, -5.4, 7.2, -0.1),
-    LocomotionMode.SlopeAscent: (-21.0, -10.5, 7.4, -3.8, 3.2, -6.3, 8.4, 0.6),
-    LocomotionMode.SlopeDescent: (-19.0, -9.5, 6.6, -4.2, 2.9, -5.7, 7.6, 0.1),
+    "NormalWalk": (-20.0, -10.0, 7.0, -4.0, 3.0, -6.0, 8.0, 0.4),
+    "StairAscent": (-22.0, -11.0, 7.7, -3.6, 3.3, -6.6, 8.8, 0.9),
+    "StairDescent": (-18.0, -9.0, 6.3, -4.4, 2.7, -5.4, 7.2, -0.1),
+    "SlopeAscent": (-21.0, -10.5, 7.4, -3.8, 3.2, -6.3, 8.4, 0.6),
+    "SlopeDescent": (-19.0, -9.5, 6.6, -4.2, 2.9, -5.7, 7.6, 0.1),
 }
 
 # linear_mode global affine map on the UNnormalized pipeline features
@@ -121,7 +121,7 @@ class SynthConfig:
     def __post_init__(self):
         counts = dict(self.trials_per_mode)
         for name, count in counts.items():
-            if name not in LocomotionMode.__members__:
+            if name not in MODES:
                 raise ConfigError(f"trials_per_mode key {name!r} is not a locomotion mode name")
             if count < 1:
                 raise ConfigError(f"trials_per_mode[{name}] must be >= 1, got {count}")
@@ -176,13 +176,13 @@ _LINEAR_FILTER = ButterworthFilter.design(
 )
 
 
-def _trial(config: SynthConfig, mode: LocomotionMode, index: int):
+def _trial(config: SynthConfig, mode: str, index: int):
     """Noise-free (hip, knee, theta_ankle, tau_ankle) of one trial, and its stream.
 
     Draw order per trial: duration, hip amplitude, knee amplitude, then the
     noise, which the caller draws from the returned stream.
     """
-    stream = SplitMix64(derive_seed(config.seed, mode.value, index))
+    stream = SplitMix64(derive_seed(config.seed, MODES.index(mode), index))
     u_dur, u_hip, u_knee = stream.uniform_block(3)
     n = int(round(config.samples_per_trial * (1.0 + config.speed_jitter * (2.0 * u_dur - 1.0))))
     n = max(MIN_TRIAL_SAMPLES, n)
@@ -206,15 +206,15 @@ def _trial(config: SynthConfig, mode: LocomotionMode, index: int):
 def generate(config: SynthConfig) -> GaitDataset:
     """Generate the full dataset; identical config gives identical output."""
     trials = []
-    for mode in LocomotionMode:
-        for index in range(config.trials_per_mode.get(mode.name, 0)):
+    for mode in MODES:
+        for index in range(config.trials_per_mode.get(mode, 0)):
             (hip, knee, theta_ankle, tau_ankle), stream = _trial(config, mode, index)
             if config.noise_std_deg > 0.0:
                 noise = stream.normal_block(3 * len(hip), 0.0, config.noise_std_deg).reshape(3, -1)
                 hip, knee, theta_ankle = hip + noise[0], knee + noise[1], theta_ankle + noise[2]
             trials.append(
                 GaitTrial(
-                    trial_id=f"{mode.name}_{index:02d}",
+                    trial_id=f"{mode}_{index:02d}",
                     mode=mode,
                     sample_rate_hz=SYNTH_SAMPLE_RATE_HZ,
                     theta_hip=hip,
@@ -228,31 +228,36 @@ def generate(config: SynthConfig) -> GaitDataset:
 
 def ground_truth(trial_id: str, config: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
     """Noise-free analytic (theta_ankle, tau_ankle) for a generated trial."""
-    name, _, idx_str = trial_id.rpartition("_")
-    try:
-        mode = LocomotionMode[name]
-        index = int(idx_str)
-    except (KeyError, ValueError):
-        raise PipelineError(f"unknown trial_id {trial_id!r}") from None
-    count = config.trials_per_mode.get(name, 0)
-    if not 0 <= index < count:
+    mode, _, idx_str = trial_id.rpartition("_")
+    if mode not in MODES or not idx_str.isdecimal():
+        raise PipelineError(f"unknown trial_id {trial_id!r}")
+    index = int(idx_str)
+    count = config.trials_per_mode.get(mode, 0)
+    if index >= count:
         raise PipelineError(
-            f"trial_id {trial_id!r} not produced by this config ({count} trials for {name})"
+            f"trial_id {trial_id!r} not produced by this config ({count} trials for {mode})"
         )
     (_, _, theta_ankle, tau_ankle), _ = _trial(config, mode, index)
     return theta_ankle, tau_ankle
 
 
 def export_dataset(config: SynthConfig, out_dir: str | Path) -> dict:
-    """Write one CSV per trial plus a manifest; returns the manifest dict."""
+    """Write one CSV per trial and return the manifest (the CLI saves it as manifest.json).
+
+    A *.csv in out_dir that this config does not produce would load as one
+    more trial, so it is a ConfigError, raised before anything is written.
+    """
     out_dir = Path(out_dir)
     dataset = generate(config)
+    stale = sorted(p.name for p in out_dir.glob("*.csv") if p.stem not in dataset.trial_ids)
+    if stale:
+        raise ConfigError(f"{out_dir} holds {len(stale)} CSV(s) of other trials, e.g. {stale[0]}")
     for trial in dataset:
         write_trial_csv(trial, out_dir / f"{trial.trial_id}.csv")
     manifest = {
         "seed": config.seed,
         "trial_ids": list(dataset.trial_ids),
-        "modes": [t.mode.name for t in dataset],
+        "modes": [t.mode for t in dataset],
         "total_rows": dataset.total_rows(),
     }
     return manifest

@@ -91,8 +91,7 @@ def test_criterion_3_metric_hand_cases():
 def test_criterion_4_loo_protocol(default_dataset):
     splits = loo_splits(default_dataset)
     assert len(splits) == 41
-    counts = {m.name: c for m, c in default_dataset.counts_by_mode().items()}
-    assert counts == {
+    assert default_dataset.counts_by_mode() == {
         "NormalWalk": 10,
         "StairAscent": 8,
         "StairDescent": 8,

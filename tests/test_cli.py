@@ -28,9 +28,9 @@ SMALL_CFG = {
 }
 
 
-def run_cli(*args, check=False):
+def run_cli(*args, check=False, umask=-1):
     proc = subprocess.run(
-        [sys.executable, "-m", "gaitreg", *args], capture_output=True, text=True
+        [sys.executable, "-m", "gaitreg", *args], capture_output=True, text=True, umask=umask
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
@@ -83,6 +83,32 @@ class TestSynth:
         cfg = synth_dir / "config.json"
         run_cli("synth", "--config", str(cfg), "--out", str(synth_dir / "data2"), check=True)
         assert read_tree(synth_dir / "data") == read_tree(synth_dir / "data2")
+
+    def test_trials_of_another_config_in_out_exit_2_and_nothing_written(self, tmp_path):
+        cfg, data = write_cfg(tmp_path), tmp_path / "data"
+        run_cli("synth", "--config", str(cfg), "--out", str(data), check=True)
+        before = read_tree(data)
+        one_each = json.dumps({mode: 1 for mode in SMALL_CFG["trials_per_mode"]})
+        proc = run_cli(
+            "synth", "--config", str(cfg), "--override", f"trials_per_mode={one_each}",
+            "--out", str(data),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"error: {data} holds 5 CSV(s) of other trials, e.g. NormalWalk_01.csv"
+        ]
+        assert read_tree(data) == before
+        # the same config again into the same directory rewrites the same bytes
+        run_cli("synth", "--config", str(cfg), "--out", str(data), check=True)
+        assert read_tree(data) == before
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_outputs_get_the_mode_open_gives_under_the_umask(self, tmp_path, umask, mode):
+        cfg, data = write_cfg(tmp_path), tmp_path / "data"
+        run_cli("synth", "--config", str(cfg), "--out", str(data), check=True, umask=umask)
+        written = sorted(data.iterdir())
+        assert len(written) == 11  # ten trial CSVs and manifest.json
+        assert {p.stat().st_mode & 0o777 for p in written} == {mode}
 
     def test_missing_out_is_usage_error(self):
         proc = run_cli("synth")

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from gaitreg import loo_splits
 from gaitreg.data import (
     MIN_TRIAL_SAMPLES,
+    MODES,
     GaitDataset,
     GaitTrial,
-    LocomotionMode,
     load_dataset_dir,
     load_trial_csv,
     trial_csv_text,
@@ -19,7 +19,7 @@ from gaitreg.data import (
 from gaitreg.errors import ConfigError, ParseError, PipelineError
 
 
-def make_trial(trial_id="t0", mode=LocomotionMode.NormalWalk, n=120, fs=200.0):
+def make_trial(trial_id="t0", mode="NormalWalk", n=120, fs=200.0):
     t = np.arange(n) / fs
     return GaitTrial(
         trial_id=trial_id,
@@ -54,7 +54,7 @@ class TestGaitTrial:
         with pytest.raises(ConfigError, match="column length mismatch"):
             GaitTrial(
                 trial_id="bad",
-                mode=LocomotionMode.NormalWalk,
+                mode="NormalWalk",
                 sample_rate_hz=200.0,
                 theta_hip=np.zeros(120),
                 theta_knee=np.zeros(119),
@@ -72,7 +72,12 @@ class TestGaitTrial:
         columns = {name: np.zeros(40) for name in names}
         columns[column][[7, 30]] = [np.nan, np.inf]
         with pytest.raises(ConfigError, match=f"trial 'bad': {column} sample 7 is not finite"):
-            GaitTrial("bad", LocomotionMode.NormalWalk, 200.0, **columns)
+            GaitTrial("bad", "NormalWalk", 200.0, **columns)
+
+    @pytest.mark.parametrize("mode", ["Jogging", "normalwalk", 0])
+    def test_unknown_mode_rejected_naming_trial_and_mode(self, mode):
+        with pytest.raises(ConfigError, match=f"trial 'a': unknown locomotion mode {mode!r}"):
+            make_trial("a", mode)
 
     def test_arrays_are_immutable(self):
         trial = make_trial()
@@ -88,14 +93,14 @@ class TestDataset:
     def test_counts_by_mode(self):
         ds = GaitDataset(
             (
-                make_trial("a", LocomotionMode.NormalWalk),
-                make_trial("b", LocomotionMode.StairAscent),
-                make_trial("c", LocomotionMode.StairAscent),
+                make_trial("a", "NormalWalk"),
+                make_trial("b", "StairAscent"),
+                make_trial("c", "StairAscent"),
             )
         )
         assert ds.counts_by_mode() == {
-            LocomotionMode.NormalWalk: 1,
-            LocomotionMode.StairAscent: 2,
+            "NormalWalk": 1,
+            "StairAscent": 2,
         }
 
 
@@ -105,7 +110,7 @@ class TestCsvRoundTrip:
         path = write_trial_csv(trial, tmp_path / "t0.csv")
         loaded = load_trial_csv(path)
         assert loaded.trial_id == "t0"
-        assert loaded.mode is LocomotionMode.NormalWalk
+        assert loaded.mode == "NormalWalk"
         assert loaded.n_samples == 120
         assert np.array_equal(loaded.theta_hip, trial.theta_hip)
         assert np.array_equal(loaded.tau_ankle, trial.tau_ankle)
@@ -116,14 +121,14 @@ class TestCsvRoundTrip:
         path = write_csv_text(tmp_path / "t.csv", text)
         assert trial_csv_text(load_trial_csv(path)) == text
 
-    @example(trial_id=" x", mode=LocomotionMode.NormalWalk, columns=ZEROS, rate=200.0)
-    @example(trial_id="a\rb", mode=LocomotionMode.NormalWalk, columns=ZEROS, rate=200.0)
-    @example(trial_id="a\u2028b", mode=LocomotionMode.NormalWalk, columns=ZEROS, rate=200.0)
-    @example(trial_id="a\ud800", mode=LocomotionMode.NormalWalk, columns=ZEROS, rate=200.0)
+    @example(trial_id=" x", mode="NormalWalk", columns=ZEROS, rate=200.0)
+    @example(trial_id="a\rb", mode="NormalWalk", columns=ZEROS, rate=200.0)
+    @example(trial_id="a\u2028b", mode="NormalWalk", columns=ZEROS, rate=200.0)
+    @example(trial_id="a\ud800", mode="NormalWalk", columns=ZEROS, rate=200.0)
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         trial_id=st.text(min_size=1, max_size=12),
-        mode=st.sampled_from(LocomotionMode),
+        mode=st.sampled_from(MODES),
         columns=COLUMNS,
         rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     )
@@ -150,14 +155,14 @@ class TestCsvRoundTrip:
         assert not (tmp_path / "t.csv").exists()
 
     def test_rate_with_non_finite_times_refused(self, tmp_path):
-        trial = GaitTrial("x", LocomotionMode.NormalWalk, 1e-310, *ZEROS)
+        trial = GaitTrial("x", "NormalWalk", 1e-310, *ZEROS)
         with pytest.raises(ConfigError, match="sample_rate_hz 1e-310"):
             write_trial_csv(trial, tmp_path / "t.csv")
 
     def test_rows_render_each_sample_with_repr(self):
         awkward = np.resize([-0.0, 5e-324, 1e300, 0.1 + 0.2], 20)
         cols = [awkward, awkward[::-1], np.roll(awkward, 1), np.roll(awkward, 2)]
-        trial = GaitTrial("odd", LocomotionMode.StairAscent, 100.0, *cols)
+        trial = GaitTrial("odd", "StairAscent", 100.0, *cols)
         rows = trial_csv_text(trial).splitlines()[2:]
         assert rows == [
             ",".join([repr(i / 100.0)] + [repr(float(col[i])) for col in cols])

@@ -133,9 +133,7 @@ class TestRunLoocv:
             run_loocv(small_dataset, "boosting", small_config)
 
     def test_missing_mode_noted(self, small_dataset, small_config):
-        subset = GaitDataset(
-            tuple(t for t in small_dataset if t.mode.name != "SlopeDescent")
-        )
+        subset = GaitDataset(tuple(t for t in small_dataset if t.mode != "SlopeDescent"))
         report = run_loocv(subset, "linear", small_config)
         assert report.missing_modes == ["SlopeDescent"]
         assert "SlopeDescent" not in report.modes
