@@ -29,6 +29,12 @@ update cap warns with a RuntimeWarning.
 fit_svr_baseline builds one dense n x n float64 kernel per fold and shares
 it between both targets; that array, n^2 * 8 bytes (190 MB for the 4,870
 training rows of a default fold), is the fit's only n x n allocation.
+
+Least squares is one lstsq core behind two entry points: linear_fit on
+the rows, and linear_fit_factored on each block's [R | Q'y] from
+linear_factor.  A leave-one-out fold of the linear model reads 7 such rows
+per training trial instead of every training row; its coefficients match
+a per-fold lstsq on the scaled rows up to rounding in the last places.
 """
 
 from __future__ import annotations
@@ -58,16 +64,33 @@ class LinearModel:
     intercept: np.ndarray  # (n_outputs,)
 
 
-def linear_fit(
-    x: np.ndarray, y: np.ndarray, *, design: Optional[np.ndarray] = None
-) -> LinearModel:
+def _least_squares(design: np.ndarray, y: np.ndarray, n_rows: int) -> LinearModel:
+    """lstsq on design, with the rank cut rcond=None gives on an (n_rows, p) design.
+
+    design may be the design itself or a shorter matrix with the same
+    singular values (see linear_fit_factored), so the cut is taken from
+    n_rows, not from design's own row count.
+    """
+    cols = design.shape[1]
+    rcond = np.finfo(np.float64).eps * max(n_rows, cols)
+    try:
+        coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=rcond)
+    except np.linalg.LinAlgError as exc:
+        raise TrainError(f"least squares failed on a ({n_rows}, {cols}) design: {exc}") from None
+    if rank < cols:
+        warnings.warn(
+            f"rank-deficient design (rank {rank} < {cols}); returning the minimum-norm solution",
+            stacklevel=3,
+        )
+    return LinearModel(weights=coef[:-1].T.copy(), intercept=coef[-1].copy())
+
+
+def linear_fit(x: np.ndarray, y: np.ndarray) -> LinearModel:
     """Least squares via orthogonal decomposition (numpy lstsq / SVD).
 
     Rank-deficient designs fall back to the minimum-norm solution with a
     warning instead of failing.  A design LAPACK cannot decompose (one holding
-    NaN, say) raises TrainError.  design, if given, is an (n, n_features + 1)
-    float64 buffer that the fit overwrites with [x, 1]; run_loocv reuses one
-    across folds.
+    NaN, say) raises TrainError.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -75,24 +98,36 @@ def linear_fit(
         y = y[:, None]
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ConfigError(f"design {x.shape} and targets {y.shape} do not align")
-    shape = (x.shape[0], x.shape[1] + 1)
-    if design is None:
-        design = np.empty(shape)
-    elif np.shape(design) != shape:
-        raise ConfigError(f"design buffer of shape {np.shape(design)} given for a {shape} design")
-    design[:, :-1] = x
-    design[:, -1] = 1.0
-    try:
-        coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    except np.linalg.LinAlgError as exc:
-        raise TrainError(f"least squares failed on a {design.shape} design: {exc}") from None
-    if rank < design.shape[1]:
-        warnings.warn(
-            f"rank-deficient design (rank {rank} < {design.shape[1]}); "
-            "returning the minimum-norm solution",
-            stacklevel=2,
-        )
-    return LinearModel(weights=coef[:-1].T.copy(), intercept=coef[-1].copy())
+    return _least_squares(np.column_stack([x, np.ones(len(x))]), y, len(x))
+
+
+def linear_factor(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[R | Q'y]: the first p + 1 rows of the R factor of [x, 1, y], x having p columns.
+
+    R is the triangular factor of the block's design [x, 1] = Q R, and
+    Q'y projects the targets onto its column space.  x needs at least
+    p + 1 rows.
+    """
+    block = np.column_stack([x, np.ones(len(x)), y])
+    return np.linalg.qr(block, mode="r")[: x.shape[1] + 1]
+
+
+def linear_fit_factored(factors: np.ndarray, n_rows: int, scale: np.ndarray) -> LinearModel:
+    """linear_fit on the rows of several blocks, given each block's linear_factor.
+
+    factors is a (blocks, p + 1, p + 1 + outputs) stack, n_rows the blocks'
+    total row count, and scale a (p + 1, p + 1) matrix applied to every
+    row's [x, 1] (preprocessing.scaling_matrix).  The stacked triangular
+    factors times scale have the singular values of the full scaled design,
+    and the stacked Q'y carry all of its least-squares information (TSQR:
+    Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34(1), 2012),
+    so the solve reads (p + 1) rows per block, not the rows themselves.
+    The coefficients match linear_fit on the scaled rows up to rounding,
+    not bit for bit; rank cut, warning and TrainError are the same.
+    """
+    p = factors.shape[1]
+    stacked = factors.reshape(-1, factors.shape[2])
+    return _least_squares(stacked[:, :p] @ scale, stacked[:, p:], n_rows)
 
 
 def linear_predict(model: LinearModel, x: np.ndarray) -> np.ndarray:

@@ -18,8 +18,14 @@ from . import CONFIG_SCHEMA_VERSION, __version__
 from .config import RunConfig
 from .data import load_dataset_dir
 from .errors import ConfigError, PipelineError
-from .evaluation import MODEL_SPECS, emit_report, run_loocv, summary_csv_text
-from .ioutil import atomic_write_text
+from .evaluation import (
+    MODEL_SPECS,
+    emit_report,
+    report_file_names,
+    run_loocv,
+    summary_csv_text,
+)
+from .ioutil import atomic_write_text, refuse_foreign_entries
 from .mlp import GRADCHECK_THRESHOLD, gradient_check, init
 from .rng import SplitMix64, derive_seed
 from .synth import export_dataset
@@ -53,6 +59,8 @@ def _cmd_synth(args) -> int:
 def _cmd_loocv(args) -> int:
     config = _load_config(args)
     dataset = load_dataset_dir(args.data)
+    # refused before the folds run, not after (emit_report checks again)
+    refuse_foreign_entries(args.out, report_file_names(dataset.counts_by_mode()))
     report = run_loocv(dataset, args.model, config, jobs=args.jobs)
     emit_report(report, args.out)
     print(f"{args.model}: {len(report.folds)} folds, reports in {args.out}")
@@ -74,6 +82,9 @@ def _cmd_compare(args) -> int:
     config = _load_config(args)
     dataset = load_dataset_dir(args.data)
     out_dir = Path(args.out)
+    refuse_foreign_entries(out_dir, [*MODEL_SPECS, "comparison.csv"])
+    for spec in MODEL_SPECS:
+        refuse_foreign_entries(out_dir / spec, report_file_names(dataset.counts_by_mode()))
     merged = ["model,mode,target,r2_mean,r2_sd,rmse_mean,rmse_sd"]
     for spec in MODEL_SPECS:
         report = run_loocv(dataset, spec, config, jobs=args.jobs)

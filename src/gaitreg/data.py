@@ -160,6 +160,24 @@ def _parse_meta_line(line: str, path: Path) -> tuple[str, str, float]:
     return values["trial_id"], values["mode"], fs
 
 
+def _first_bad_row(path: Path, numbered, columns) -> ParseError:
+    """The error for the first data row that is not len(columns) numeric cells."""
+    for lineno, cells in numbered:
+        if len(cells) != len(columns):
+            return ParseError(
+                f"{path}: row {lineno}: column length mismatch: "
+                f"expected {len(columns)} values, got {len(cells)}"
+            )
+        for col, cell in zip(columns, cells):
+            try:
+                float(cell)
+            except ValueError:
+                return ParseError(
+                    f"{path}: row {lineno}, column {col!r}: non-numeric cell {cell!r}"
+                )
+    return ParseError(f"{path}: file has no data rows")
+
+
 def load_trial_csv(path: str | Path) -> GaitTrial:
     """Read one trial file; raises ParseError naming the offending row/column."""
     path = Path(path)
@@ -174,27 +192,16 @@ def load_trial_csv(path: str | Path) -> GaitTrial:
     if lines[1] != CSV_HEADER:
         raise ParseError(f"{path}: line 2 header must be {CSV_HEADER!r}, got {lines[1]!r}")
     columns = CSV_HEADER.split(",")
-    rows = []
-    linenos = []
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != 5:
-            raise ParseError(
-                f"{path}: row {lineno}: column length mismatch: expected 5 values, got {len(cells)}"
-            )
-        parsed = []
-        for col, cell in zip(columns, cells):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {lineno}, column {col!r}: non-numeric cell {cell!r}"
-                ) from None
-        rows.append(parsed)
-        linenos.append(lineno)
-    data = np.asarray(rows, dtype=np.float64)
+    numbered = [(n, line.split(",")) for n, line in enumerate(lines[2:], start=3) if line]
+    linenos = [n for n, _ in numbered]
+    cells = [row for _, row in numbered]
+    try:
+        # numpy parses each str with float(), so spellings and bits are float()'s
+        data = np.array(cells, dtype=np.float64)
+    except ValueError:
+        data = None
+    if data is None or data.shape != (len(cells), len(columns)):
+        raise _first_bad_row(path, numbered, columns)
     finite = np.isfinite(data)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]

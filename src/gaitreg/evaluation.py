@@ -10,7 +10,6 @@ grid before averaging across trials.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -20,22 +19,25 @@ import numpy as np
 from .baselines import (
     fit_svr_baseline,
     grid_search_svr,
-    linear_fit,
+    linear_factor,
+    linear_fit_factored,
     linear_predict,
     predict_svr_baseline,
 )
 from .config import RunConfig
 from .data import MODES, GaitDataset
 from .errors import ConfigError, MetricError, PipelineError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, refuse_foreign_entries
 from .mlp import forward, init, train
 from .preprocessing import (
     ButterworthFilter,
     apply_normalization,
     feature_blocks,
     fit_normalization,
+    scaling_matrix,
 )
 # not called here; bound so perfbench/tracer.py can patch them by name
+from .baselines import linear_fit  # noqa: F401
 from .data import loo_splits  # noqa: F401
 from .preprocessing import trial_features  # noqa: F401
 from .rng import derive_seed
@@ -124,16 +126,12 @@ class EvalReport:
     svr_grid: dict[str, int] | None = None  # SMO fit counts of the grid search, if run
 
 
-def _fit_predict(
-    model_spec: str, config: RunConfig, fold_idx: int, x_train, y_train, x_test, design
-):
+def _fit_predict(model_spec: str, config: RunConfig, fold_idx: int, x_train, y_train, x_test):
     if model_spec == "mlp":
         model = init(config.layer_dims, derive_seed(config.init_seed, fold_idx))
         tcfg = config.train_config(shuffle_seed=derive_seed(config.shuffle_seed, fold_idx))
         train(model, x_train, y_train, tcfg)
         return forward(model, x_test)
-    if model_spec == "linear":
-        return linear_predict(linear_fit(x_train, y_train, design=design), x_test)
     baseline = fit_svr_baseline(  # run_loocv has checked model_spec
         x_train,
         y_train,
@@ -147,30 +145,35 @@ def _fit_predict(
 
 
 def _run_chunk(payload, indices: Sequence[int]) -> list[FoldResult]:
-    """Score the folds in indices, building each one's training rows in place.
+    """Score the folds in indices.
 
-    The buffers are allocated once per chunk, sized for every stacked row;
-    a fold fills the leading rows with the other trials' rows, scales them
-    there, and the linear fit writes its design beside them.  Pages a model
-    never touches (the design, for the MLP and SVR) cost no memory.
+    A linear fold (factors given) reads no training rows: it solves from
+    the other trials' linear_factor stacks, scaled by its scaling_matrix.
+    An MLP or SVR fold builds its training rows in place: the row and
+    target buffers are allocated once per chunk, sized for every stacked
+    row, and a fold fills the leading rows with the other trials' rows and
+    scales them there.
     """
-    x_all, y_all, records, model_spec, config = payload
-    x_buf = np.empty_like(x_all)
-    y_buf = np.empty_like(y_all)
-    design_buf = np.empty((x_all.shape[0], x_all.shape[1] + 1))
+    x_all, y_all, factors, records, model_spec, config = payload
+    if factors is None:
+        x_buf = np.empty_like(x_all)
+        y_buf = np.empty_like(y_all)
     folds = []
     for fold_idx in indices:
         trial_id, mode, start, end, params = records[fold_idx]
         rows = len(x_all) - (end - start)
         try:
-            x_train = np.concatenate([x_all[:start], x_all[end:]], out=x_buf[:rows])
-            y_train = np.concatenate([y_all[:start], y_all[end:]], out=y_buf[:rows])
-            apply_normalization(x_train, params, out=x_train)
             x_test = apply_normalization(x_all[start:end], params)
             y_test = y_all[start:end]
-            y_pred = _fit_predict(
-                model_spec, config, fold_idx, x_train, y_train, x_test, design_buf[:rows]
-            )
+            if factors is not None:
+                others = np.delete(factors, fold_idx, axis=0)
+                model = linear_fit_factored(others, rows, scaling_matrix(params))
+                y_pred = linear_predict(model, x_test)
+            else:
+                x_train = np.concatenate([x_all[:start], x_all[end:]], out=x_buf[:rows])
+                y_train = np.concatenate([y_all[:start], y_all[end:]], out=y_buf[:rows])
+                apply_normalization(x_train, params, out=x_train)
+                y_pred = _fit_predict(model_spec, config, fold_idx, x_train, y_train, x_test)
             r2 = {k: r2_score(y_test[:, t], y_pred[:, t]) for t, k in enumerate(TARGET_KEYS)}
             err = {k: rmse(y_test[:, t], y_pred[:, t]) for t, k in enumerate(TARGET_KEYS)}
         except PipelineError as exc:
@@ -193,10 +196,15 @@ def run_loocv(
     that fit_normalization fits here on the training trials only (on all
     trials when config.paper_faithful_norm is set).  The fit reads each
     trial's 2-row block of column mins and maxs, not its rows: min and max
-    are exact, so the bits are the same at O(trials) cost per fold.  The
-    folds run in contiguous chunks, one per worker (all of them in one
-    chunk at jobs=1); each chunk allocates its training-row, target and
-    design buffers once and builds every fold's training set in them
+    are exact, so the bits are the same at O(trials) cost per fold.  For
+    the linear model each trial's unscaled block is also factored once
+    (linear_factor, a 7 x 9 [R | Q'y]), and a fold solves from the other
+    trials' factors times its scaling matrix (linear_fit_factored): it
+    reads no training rows, and its coefficients differ from a per-fold
+    lstsq on the scaled rows in the last places only.  The folds run in
+    contiguous chunks, one per worker (all of them in one chunk at
+    jobs=1); an MLP or SVR chunk allocates its training-row and target
+    buffers once and builds every fold's training set in them
     (_run_chunk).  The optional SVR grid search runs before LOO on the same
     per-trial blocks under the pooled scaling, so every held-out trial
     influences the chosen hyperparameters; report.json then records its
@@ -236,15 +244,21 @@ def run_loocv(
         if not config.paper_faithful_norm:
             params = fit_normalization(np.concatenate(extrema[:k] + extrema[k + 1 :]))
         records.append((trial.trial_id, trial.mode, bounds[k], bounds[k + 1], params))
+    factors = None
+    if model_spec == "linear":
+        factors = np.stack([linear_factor(x, y) for x, y in blocks])
     x_all = np.concatenate([x for x, _ in blocks])
     y_all = np.concatenate([y for _, y in blocks])
     del blocks  # the folds read only the stacked rows
-    payload = (x_all, y_all, records, model_spec, config)
+    payload = (x_all, y_all, factors, records, model_spec, config)
 
     n = len(dataset)
     size = -(-n // jobs)
     chunks = [range(s, min(s + size, n)) for s in range(0, n, size)]
     if len(chunks) > 1:
+        # imported here, so that a one-chunk run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # a fork-started pool starts every worker at once, so one per chunk
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             done = pool.map(_run_chunk, [payload] * len(chunks), chunks)
@@ -319,9 +333,20 @@ def summary_csv_text(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def report_file_names(modes: Sequence[str]) -> list[str]:
+    """The names emit_report writes for a report over these modes."""
+    svgs = [f"phase_mae_{name}_{key}.svg" for name in modes for key in TARGET_KEYS]
+    return ["report.json", "summary.csv", *svgs]
+
+
 def emit_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
-    """Write report.json, summary.csv, and one phase-MAE SVG per mode/target."""
+    """Write report.json, summary.csv, and one phase-MAE SVG per mode/target.
+
+    An out_dir that holds any other entry is a ConfigError, raised before
+    anything is written (ioutil.refuse_foreign_entries).
+    """
     out_dir = Path(out_dir)
+    refuse_foreign_entries(out_dir, report_file_names(report.modes))
     written = [
         atomic_write_text(
             out_dir / "report.json",

@@ -234,6 +234,24 @@ def apply_normalization(
     return out
 
 
+def scaling_matrix(params: NormalizationParams) -> np.ndarray:
+    """(d + 1, d + 1) matrix S with [x, 1] @ S == [apply_normalization(x, params), 1].
+
+    Column c of S holds 1/span on the diagonal and -min/span in the last
+    (intercept) row; a degenerate column is all zeros, as
+    apply_normalization maps it to 0.  The product equals the scaled rows
+    up to rounding, not bit for bit.
+    """
+    d = len(params.mins)
+    live = np.flatnonzero(~params.degenerate)
+    span = params.maxs[live] - params.mins[live]
+    out = np.zeros((d + 1, d + 1))
+    out[live, live] = 1.0 / span
+    out[d, live] = -params.mins[live] / span
+    out[d, d] = 1.0
+    return out
+
+
 def spectral_energy_fraction(
     signal: np.ndarray, sample_rate_hz: float, threshold_hz: float
 ) -> float:

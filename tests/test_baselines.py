@@ -22,6 +22,8 @@ from gaitreg.baselines import (
     DEFAULT_SVR_MAX_UPDATES,
     fit_svr_baseline,
     grid_search_svr,
+    linear_factor,
+    linear_fit_factored,
     predict_svr_baseline,
     rbf_kernel,
 )
@@ -30,6 +32,7 @@ from gaitreg.preprocessing import (
     apply_normalization,
     feature_blocks,
     fit_normalization,
+    scaling_matrix,
     trial_features,
 )
 from gaitreg.rng import SplitMix64
@@ -82,24 +85,61 @@ class TestLinearFit:
         with pytest.raises(TrainError, match=r"least squares failed on a \(10, 7\) design"):
             linear_fit(x, np.arange(10.0))
 
-    def test_design_buffer_fit_is_bit_identical(self):
+    def test_bit_identical_to_lstsq_with_default_rcond(self):
         stream = SplitMix64(5)
         x = stream.uniform_block(240).reshape(40, 6)
         y = stream.normal_block(80, 0.0, 4.0).reshape(40, 2)
-        # the leading rows of a larger, dirty buffer, as a LOO chunk hands it over
-        buf = np.full((55, 7), np.nan)
-        plain = linear_fit(x, y)
-        buffered = linear_fit(x, y, design=buf[:40])
-        assert np.array_equal(buffered.weights, plain.weights)
-        assert np.array_equal(buffered.intercept, plain.intercept)
-        assert np.array_equal(buf[:40, :6], x) and np.all(buf[:40, 6] == 1.0)
-        assert np.isnan(buf[40:]).all()
+        model = linear_fit(x, y)
+        coef = np.linalg.lstsq(np.column_stack([x, np.ones(40)]), y, rcond=None)[0]
+        assert np.array_equal(model.weights, coef[:-1].T)
+        assert np.array_equal(model.intercept, coef[-1])
 
-    @pytest.mark.parametrize("shape", [(39, 7), (40, 6), (40,)])
-    def test_design_buffer_of_wrong_shape_refused(self, shape):
-        x = SplitMix64(6).uniform_block(240).reshape(40, 6)
-        with pytest.raises(ConfigError, match=r"design buffer of shape .* for a \(40, 7\)"):
-            linear_fit(x, np.arange(40.0), design=np.empty(shape))
+
+def split_blocks(x, y, sizes):
+    bounds = np.cumsum([0, *sizes])
+    return [(x[a:b], y[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+class TestLinearFitFactored:
+    SIZES = (16, 23, 40, 17)
+
+    def _problem(self, seed):
+        stream = SplitMix64(seed)
+        n = sum(self.SIZES)
+        x = stream.uniform_block(6 * n).reshape(n, 6) * 12.0 - 3.0
+        y = stream.normal_block(2 * n, 0.0, 4.0).reshape(n, 2)
+        return x, y
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_linear_fit_on_the_scaled_rows(self, seed):
+        x, y = self._problem(seed)
+        params = fit_normalization(x[:30])  # rows beyond 30 fall outside [0, 1]
+        factors = np.stack([linear_factor(xb, yb) for xb, yb in split_blocks(x, y, self.SIZES)])
+        assert factors.shape == (len(self.SIZES), 7, 9)
+        model = linear_fit_factored(factors, len(x), scaling_matrix(params))
+        reference = linear_fit(apply_normalization(x, params), y)
+        for got, want in ((model.weights, reference.weights),
+                          (model.intercept, reference.intercept)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+    def test_degenerate_column_warns_as_linear_fit_does(self):
+        x, y = self._problem(4)
+        x[:, 2] = 5.0
+        params = fit_normalization(x)
+        factors = np.stack([linear_factor(xb, yb) for xb, yb in split_blocks(x, y, self.SIZES)])
+        with pytest.warns(UserWarning, match=r"rank-deficient design \(rank 6 < 7\)"):
+            model = linear_fit_factored(factors, len(x), scaling_matrix(params))
+        with pytest.warns(UserWarning, match=r"rank-deficient design \(rank 6 < 7\)"):
+            reference = linear_fit(apply_normalization(x, params), y)
+        assert np.abs(model.weights[:, 2]).max() < 1e-12  # the minimum-norm share
+        np.testing.assert_allclose(model.weights, reference.weights, rtol=1e-10, atol=1e-12)
+
+    def test_lapack_failure_raises_train_error_naming_the_rows(self):
+        x, y = self._problem(5)
+        x[3, 2] = np.nan
+        factors = np.stack([linear_factor(xb, yb) for xb, yb in split_blocks(x, y, self.SIZES)])
+        with pytest.raises(TrainError, match=r"least squares failed on a \(96, 7\) design"):
+            linear_fit_factored(factors, len(x), np.eye(7))
 
 
 class TestSvrFit:

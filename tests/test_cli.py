@@ -222,6 +222,34 @@ class TestLoocv:
         assert line.startswith("error: fold 1 ") and repr(path.stem) in line
         assert "constant target" in line
 
+    def test_reused_out_of_a_run_with_more_modes_exits_2_and_nothing_written(
+        self, synth_dir, tmp_path
+    ):
+        data, out = tmp_path / "data", tmp_path / "r"
+        shutil.copytree(synth_dir / "data", data)
+        args = ("loocv", "--config", str(synth_dir / "config.json"), "--data", str(data),
+                "--model", "linear", "--out", str(out))
+        run_cli(*args, check=True)
+        before = read_tree(out)
+        for path in data.glob("StairDescent_*.csv"):
+            path.unlink()
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"error: {out} holds 2 entries this run would not write, "
+            "e.g. 'phase_mae_StairDescent_tau.svg'; use an empty or new directory"
+        ]
+        assert read_tree(out) == before
+
+    def test_same_run_again_into_its_out_succeeds(self, synth_dir, tmp_path):
+        args = ("loocv", "--config", str(synth_dir / "config.json"),
+                "--data", str(synth_dir / "data"), "--model", "linear",
+                "--out", str(tmp_path / "r"))
+        run_cli(*args, check=True)
+        before = read_tree(tmp_path / "r")
+        run_cli(*args, check=True)
+        assert read_tree(tmp_path / "r") == before
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_config_error(self, synth_dir, tmp_path, jobs):
         proc = run_cli(
@@ -504,6 +532,21 @@ class TestCompare:
             "--out", str(out), check=True,
         )
         return out
+
+    @pytest.mark.parametrize("entry", ["notes.txt", "linear/notes.txt", "svr/phase_mae_x.svg"])
+    def test_foreign_entry_in_out_exits_2_before_any_fit(self, synth_dir, tmp_path, entry):
+        out = tmp_path / "out"
+        (out / entry).parent.mkdir(parents=True, exist_ok=True)
+        (out / entry).write_text("stale")
+        before = sorted(p.relative_to(out).as_posix() for p in out.rglob("*"))
+        proc = run_cli(
+            "compare", "--config", str(synth_dir / "config.json"),
+            "--data", str(synth_dir / "data"), "--out", str(out),
+        )
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and repr(entry.rpartition("/")[2]) in line
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == before
 
     def test_merged_table_has_three_model_blocks(self, compare_out):
         lines = (compare_out / "comparison.csv").read_text().splitlines()

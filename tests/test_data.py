@@ -192,6 +192,67 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="row 6.*theta_knee_deg.*oops"):
             load_trial_csv(path)
 
+    @pytest.mark.parametrize(
+        "first, second, named",
+        [
+            ("short", "word", "row 6: column length mismatch: expected 5 values, got 4"),
+            ("word", "short", "row 6, column 'theta_knee_deg': non-numeric cell 'oops'"),
+            ("long", "word", "row 6: column length mismatch: expected 5 values, got 6"),
+        ],
+    )
+    def test_first_bad_row_is_named_whatever_follows(self, tmp_path, first, second, named):
+        lines = trial_csv_text(make_trial()).splitlines()
+        for index, fault in ((5, first), (9, second)):
+            cells = lines[index].split(",")
+            if fault == "short":
+                cells = cells[:4]
+            elif fault == "long":
+                cells.append("1.0")
+            else:
+                cells[2] = "oops"
+            lines[index] = ",".join(cells)
+        path = write_csv_text(tmp_path / "bad.csv", "\n".join(lines))
+        with pytest.raises(ParseError) as exc:
+            load_trial_csv(path)
+        assert str(exc.value) == f"{path}: {named}"
+
+    def test_every_row_short_names_the_first(self, tmp_path):
+        lines = trial_csv_text(make_trial()).splitlines()
+        lines[2:] = [",".join(line.split(",")[:4]) for line in lines[2:]]
+        path = write_csv_text(tmp_path / "bad.csv", "\n".join(lines))
+        with pytest.raises(ParseError, match="row 3: column length mismatch.*got 4"):
+            load_trial_csv(path)
+
+    def test_file_without_data_rows_rejected(self, tmp_path):
+        lines = trial_csv_text(make_trial()).splitlines()[:2]
+        path = write_csv_text(tmp_path / "bad.csv", "\n".join(lines + ["", ""]) + "\n")
+        with pytest.raises(ParseError, match="bad.csv: file has no data rows"):
+            load_trial_csv(path)
+
+    @pytest.mark.parametrize(
+        "spelling", [" 2.5", "2.5 ", "\t2.5", "1_0", "+.5", "5.", "1e-400", "١٢"]
+    )
+    def test_spellings_float_accepts_load_as_float_reads_them(self, tmp_path, spelling):
+        lines = trial_csv_text(make_trial()).splitlines()
+        cells = lines[5].split(",")
+        cells[3] = spelling
+        lines[5] = ",".join(cells)
+        loaded = load_trial_csv(write_csv_text(tmp_path / "odd.csv", "\n".join(lines)))
+        assert loaded.theta_ankle[3] == float(spelling)
+
+    @pytest.mark.parametrize("spelling", ["", " ", "0x10", "1__0", "_1", "1d5", "1j", "True"])
+    def test_spellings_float_rejects_name_row_and_column(self, tmp_path, spelling):
+        lines = trial_csv_text(make_trial()).splitlines()
+        cells = lines[5].split(",")
+        cells[3] = spelling
+        lines[5] = ",".join(cells)
+        path = write_csv_text(tmp_path / "bad.csv", "\n".join(lines))
+        with pytest.raises(ParseError) as exc:
+            load_trial_csv(path)
+        assert str(exc.value) == (
+            f"{path}: row 6, column 'theta_ankle_deg': non-numeric cell {spelling!r}"
+        )
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
         lines = trial_csv_text(make_trial()).splitlines()

@@ -1,4 +1,8 @@
+import dataclasses
 import json
+import subprocess
+import sys
+import warnings
 from math import sqrt
 
 import numpy as np
@@ -205,17 +209,28 @@ class TestRunLoocv:
         seen = {}
         original = evaluation._fit_predict
 
-        def capturing(model_spec, cfg, fold_idx, x_train, y_train, x_test, design):
+        def capturing(model_spec, cfg, fold_idx, x_train, y_train, x_test):
             seen[fold_idx] = (x_train.copy(), y_train.copy(), x_test, x_train.flags.c_contiguous)
-            return original(model_spec, cfg, fold_idx, x_train, y_train, x_test, design)
+            return original(model_spec, cfg, fold_idx, x_train, y_train, x_test)
+
+        scalings = []
+        original_matrix = evaluation.scaling_matrix
+
+        def recording(params):
+            scalings.append(params)
+            return original_matrix(params)
 
         monkeypatch.setattr(evaluation, "_fit_predict", capturing)
+        monkeypatch.setattr(evaluation, "scaling_matrix", recording)
+        run_loocv(small_dataset, "mlp", config)
+        # a linear fold reads no training rows, but is scaled by the same fit
         run_loocv(small_dataset, "linear", config)
         filt = ButterworthFilter.design(config.cutoff_hz, 200.0, config.filter_order)
         blocks = feature_blocks(small_dataset, filt)
         assert len({len(x) for x, _ in blocks}) > 1  # trials of unequal length
         pooled = fit_normalization(np.concatenate([x for x, _ in blocks]))
         assert sorted(seen) == list(range(len(blocks)))
+        assert len(scalings) == len(blocks)
         for k, (x_held, _) in enumerate(blocks):
             others = blocks[:k] + blocks[k + 1 :]
             x_raw = np.concatenate([x for x, _ in others])
@@ -226,22 +241,21 @@ class TestRunLoocv:
             assert np.array_equal(y_train, np.concatenate([y for _, y in others]))
             assert np.array_equal(x_test, apply_normalization(x_held, params))
             assert contiguous
+            assert np.array_equal(scalings[k].mins, params.mins)
+            assert np.array_equal(scalings[k].maxs, params.maxs)
 
-    @pytest.mark.parametrize("model_spec", ["linear", "mlp"])
-    def test_chunk_builds_every_fold_in_one_buffer(
-        self, small_dataset, small_config, monkeypatch, model_spec
-    ):
+    def test_chunk_builds_every_fold_in_one_buffer(self, small_dataset, small_config, monkeypatch):
         import gaitreg.evaluation as evaluation
 
         seen = []
         original = evaluation._fit_predict
 
-        def recording(model_spec, cfg, fold_idx, x_train, y_train, x_test, design):
-            seen.append((x_train, y_train, design))
-            return original(model_spec, cfg, fold_idx, x_train, y_train, x_test, design)
+        def recording(model_spec, cfg, fold_idx, x_train, y_train, x_test):
+            seen.append((x_train, y_train))
+            return original(model_spec, cfg, fold_idx, x_train, y_train, x_test)
 
         monkeypatch.setattr(evaluation, "_fit_predict", recording)
-        run_loocv(small_dataset, model_spec, small_config)
+        run_loocv(small_dataset, "mlp", small_config)
         assert len(seen) == len(small_dataset)
         first = seen[0]
         for arrays in seen[1:]:
@@ -249,7 +263,7 @@ class TestRunLoocv:
                 assert np.shares_memory(array, buffer)
 
     def test_pool_workers_bounded_by_chunks(self, small_dataset, small_config, monkeypatch):
-        import gaitreg.evaluation as evaluation
+        import concurrent.futures
 
         workers = []
 
@@ -268,7 +282,7 @@ class TestRunLoocv:
             def map(self, fn, *iterables, **kwargs):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         five = GaitDataset(small_dataset.trials[:5])
         serial = _as_json(run_loocv(five, "linear", small_config))
         for jobs, chunks in ((64, 5), (3, 3), (2, 2)):
@@ -276,6 +290,22 @@ class TestRunLoocv:
             assert workers[-1] == chunks
             assert pooled == serial
         assert len(workers) == 3
+
+    def test_one_chunk_run_never_loads_the_process_pool(self):
+        code = (
+            "import sys\n"
+            "from gaitreg import RunConfig, generate, run_loocv\n"
+            "config = RunConfig.from_dict({'samples_per_trial': 48, 'trials_per_mode': "
+            "{'NormalWalk': 2, 'StairAscent': 1, 'StairDescent': 1, 'SlopeAscent': 1, "
+            "'SlopeDescent': 1}})\n"
+            "run_loocv(generate(config.synth_config()), 'linear', config, jobs=1)\n"
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('concurrent.futures.process', 'multiprocessing'))))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"
 
     def test_uneven_chunks_give_identical_reports(self, small_dataset, small_config, tmp_path):
         # 5 folds over 3 workers run as chunks of 2, 2 and 1
@@ -286,6 +316,83 @@ class TestRunLoocv:
             emit_report(run_loocv(five, "linear", small_config, jobs=jobs), out)
             trees[jobs] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert trees[1] == trees[3]
+
+    @pytest.mark.parametrize("constant_column", [False, True])
+    @pytest.mark.parametrize("paper_faithful_norm", [False, True])
+    def test_linear_folds_match_linear_fit_on_the_scaled_rows(
+        self, small_dataset, small_config, monkeypatch, paper_faithful_norm, constant_column
+    ):
+        import gaitreg.evaluation as evaluation
+        from gaitreg import linear_fit, linear_predict
+        from gaitreg.preprocessing import ButterworthFilter, apply_normalization, fit_normalization
+
+        original = evaluation.feature_blocks
+
+        def flattened(*args):
+            blocks = [(x.copy(), y) for x, y in original(*args)]
+            for x, _ in blocks:
+                x[:, 2] = 5.0  # the same value in every trial: a degenerate column
+            return blocks
+
+        if constant_column:
+            monkeypatch.setattr(evaluation, "feature_blocks", flattened)
+        config = small_config.with_overrides({"paper_faithful_norm": paper_faithful_norm})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run_loocv(small_dataset, "linear", config)
+        filt = ButterworthFilter.design(config.cutoff_hz, 200.0, config.filter_order)
+        blocks = evaluation.feature_blocks(small_dataset, filt, config.filter_targets)
+        pooled = fit_normalization(np.concatenate([x for x, _ in blocks]))
+        expected_warnings = []
+        for k, fold in enumerate(report.folds):
+            others = blocks[:k] + blocks[k + 1 :]
+            x_raw = np.concatenate([x for x, _ in others])
+            params = pooled if paper_faithful_norm else fit_normalization(x_raw)
+            with warnings.catch_warnings(record=True) as reference_caught:
+                warnings.simplefilter("always")
+                model = linear_fit(
+                    apply_normalization(x_raw, params), np.concatenate([y for _, y in others])
+                )
+            expected_warnings += [str(w.message) for w in reference_caught]
+            want = linear_predict(model, apply_normalization(blocks[k][0], params))
+            np.testing.assert_allclose(
+                fold.y_pred, want, rtol=1e-10, atol=1e-10 * np.abs(want).max()
+            )
+        assert [str(w.message) for w in caught] == expected_warnings
+        assert len(expected_warnings) == (len(blocks) if constant_column else 0)
+
+    def test_held_out_rows_leave_their_fold_bit_identical(
+        self, small_dataset, small_config, monkeypatch
+    ):
+        import gaitreg.evaluation as evaluation
+
+        models = []
+        original = evaluation.linear_fit_factored
+
+        def recording(*args):
+            models.append(original(*args))
+            return models[-1]
+
+        monkeypatch.setattr(evaluation, "linear_fit_factored", recording)
+        k = 3
+        trial = small_dataset.trials[k]
+        changed = dataclasses.replace(
+            trial,
+            theta_hip=trial.theta_hip * 1.5 + 4.0,
+            theta_knee=trial.theta_knee[::-1],
+            tau_ankle=trial.tau_ankle - 2.0,
+        )
+        trials = small_dataset.trials
+        run_loocv(small_dataset, "linear", small_config)
+        run_loocv(GaitDataset(trials[:k] + (changed,) + trials[k + 1 :]), "linear", small_config)
+        n = len(trials)
+        before, after = models[:n], models[n:]
+        assert before[k].weights.tobytes() == after[k].weights.tobytes()
+        assert before[k].intercept.tobytes() == after[k].intercept.tobytes()
+        # every other fold trains on the changed trial, so its fit moves
+        for j in range(n):
+            if j != k:
+                assert not np.array_equal(before[j].weights, after[j].weights)
 
     def test_single_trial_rejected(self, small_dataset, small_config):
         with pytest.raises(ConfigError, match="at least 2 trials, got 1"):
@@ -350,3 +457,23 @@ class TestEmitReport:
         emit_report(report, tmp_path)
         data = json.loads((tmp_path / "report.json").read_text())
         assert data["modes"] == report.modes
+
+    def test_written_names_are_report_file_names(self, report, tmp_path):
+        from gaitreg.evaluation import report_file_names
+
+        written = [p.name for p in emit_report(report, tmp_path)]
+        assert written == report_file_names(report.modes)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written)
+
+    def test_foreign_entry_refused_before_anything_is_written(self, report, tmp_path):
+        (tmp_path / "phase_mae_Jogging_tau.svg").write_text("stale")
+        (tmp_path / "notes").mkdir()
+        refused = r"holds 2 entries this run would not write, e\.g\. 'notes'"
+        with pytest.raises(ConfigError, match=refused):
+            emit_report(report, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["notes", "phase_mae_Jogging_tau.svg"]
+
+    def test_same_report_again_into_its_directory(self, report, tmp_path):
+        first = {p.name: p.read_bytes() for p in emit_report(report, tmp_path)}
+        second = {p.name: p.read_bytes() for p in emit_report(report, tmp_path)}
+        assert first == second

@@ -28,6 +28,7 @@ from gaitreg.preprocessing import (
     differentiate,
     feature_blocks,
     fit_normalization,
+    scaling_matrix,
     trial_features,
 )
 from gaitreg.rng import SplitMix64, derive_seed
@@ -290,6 +291,17 @@ class TestNormalization:
         out = rows.copy()
         assert apply_normalization(out, params, out=out) is out
         assert np.array_equal(out, expected) and np.all(out[:, 2] == 0.0)
+
+    def test_scaling_matrix_scales_the_affine_design(self):
+        rows = np.random.default_rng(4).normal(size=(40, 6)) * 30 + 5
+        rows[:, 2] = 4.0
+        params = fit_normalization(rows[:25])
+        s = scaling_matrix(params)
+        design = np.column_stack([rows, np.ones(40)]) @ s
+        expected = apply_normalization(rows, params)
+        assert np.abs(design[:, :6] - expected).max() < 1e-13
+        assert np.all(design[:, 2] == 0.0) and np.all(design[:, 6] == 1.0)
+        assert np.all(s[:, 2] == 0.0) and s[6, 6] == 1.0
 
     def test_two_identical_rows_all_degenerate(self):
         params = fit_normalization(np.tile([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]], (2, 1)))
