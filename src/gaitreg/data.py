@@ -9,6 +9,7 @@ fixed header.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -160,9 +161,10 @@ def _parse_meta_line(line: str, path: Path) -> tuple[str, str, float]:
     return values["trial_id"], values["mode"], fs
 
 
-def _first_bad_row(path: Path, numbered, columns) -> ParseError:
+def _first_bad_row(path: Path, lines: list[str], columns) -> ParseError:
     """The error for the first data row that is not len(columns) numeric cells."""
-    for lineno, cells in numbered:
+    for lineno, line in _data_lines(lines):
+        cells = line.split(",")
         if len(cells) != len(columns):
             return ParseError(
                 f"{path}: row {lineno}: column length mismatch: "
@@ -178,8 +180,18 @@ def _first_bad_row(path: Path, numbered, columns) -> ParseError:
     return ParseError(f"{path}: file has no data rows")
 
 
+def _data_lines(lines: list[str]) -> list[tuple[int, str]]:
+    """(1-based line number, text) of every non-blank data line."""
+    return [(n, line) for n, line in enumerate(lines[2:], start=3) if line]
+
+
 def load_trial_csv(path: str | Path) -> GaitTrial:
-    """Read one trial file; raises ParseError naming the offending row/column."""
+    """Read one trial file; raises ParseError naming the offending row/column.
+
+    The data rows are parsed flat: one C-level pass checks that every row
+    has len(columns) cells, and the cells of all rows are converted in one
+    np.array call.  Line numbers are built only when a row is rejected.
+    """
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -192,29 +204,30 @@ def load_trial_csv(path: str | Path) -> GaitTrial:
     if lines[1] != CSV_HEADER:
         raise ParseError(f"{path}: line 2 header must be {CSV_HEADER!r}, got {lines[1]!r}")
     columns = CSV_HEADER.split(",")
-    numbered = [(n, line.split(",")) for n, line in enumerate(lines[2:], start=3) if line]
-    linenos = [n for n, _ in numbered]
-    cells = [row for _, row in numbered]
+    rows = [line.split(",") for line in lines[2:] if line]
+    if set(map(len, rows)) != {len(columns)}:
+        raise _first_bad_row(path, lines, columns)
     try:
         # numpy parses each str with float(), so spellings and bits are float()'s
-        data = np.array(cells, dtype=np.float64)
+        data = np.array(list(chain.from_iterable(rows)), dtype=np.float64)
     except ValueError:
-        data = None
-    if data is None or data.shape != (len(cells), len(columns)):
-        raise _first_bad_row(path, numbered, columns)
+        raise _first_bad_row(path, lines, columns) from None
+    data = data.reshape(-1, len(columns))
     finite = np.isfinite(data)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
         raise ParseError(
-            f"{path}: row {linenos[row]}, column {columns[col]!r}: "
+            f"{path}: row {_data_lines(lines)[row][0]}, column {columns[col]!r}: "
             f"non-finite value {float(data[row, col])!r}"
         )
     expected_t = np.arange(len(data)) / fs
-    if not np.allclose(data[:, 0], expected_t, rtol=0.0, atol=1e-9 + 1e-9 / fs):
-        bad = int(np.argmax(np.abs(data[:, 0] - expected_t)))
+    deviation = np.abs(data[:, 0] - expected_t)
+    bad = int(deviation.argmax())
+    # allclose(rtol=0): an infinite expected time matches no finite cell
+    if not (deviation[bad] <= 1e-9 + 1e-9 / fs and np.isfinite(expected_t[-1])):
         raise ParseError(
-            f"{path}: row {linenos[bad]}: time_s {float(data[bad, 0])!r} deviates from "
-            f"uniform spacing 1/{fs} starting at 0"
+            f"{path}: row {_data_lines(lines)[bad][0]}: time_s {float(data[bad, 0])!r} "
+            f"deviates from uniform spacing 1/{fs} starting at 0"
         )
     try:
         return GaitTrial(

@@ -32,7 +32,7 @@ from .mlp import forward, init, train
 from .preprocessing import (
     ButterworthFilter,
     apply_normalization,
-    feature_blocks,
+    feature_rows,
     fit_normalization,
     scaling_matrix,
 )
@@ -166,7 +166,7 @@ def _run_chunk(payload, indices: Sequence[int]) -> list[FoldResult]:
             x_test = apply_normalization(x_all[start:end], params)
             y_test = y_all[start:end]
             if factors is not None:
-                others = np.delete(factors, fold_idx, axis=0)
+                others = np.concatenate([factors[:fold_idx], factors[fold_idx + 1 :]])
                 model = linear_fit_factored(others, rows, scaling_matrix(params))
                 y_pred = linear_predict(model, x_test)
             else:
@@ -184,19 +184,30 @@ def _run_chunk(payload, indices: Sequence[int]) -> list[FoldResult]:
     return folds
 
 
+def _all_but_each(rows: np.ndarray, ufunc: np.ufunc, identity: float) -> np.ndarray:
+    """Row k: ufunc reduced over every row but k, from running prefix and suffix reductions."""
+    edge = np.full((1, rows.shape[1]), identity)
+    before = np.concatenate([edge, ufunc.accumulate(rows[:-1])])
+    after = np.concatenate([ufunc.accumulate(rows[:0:-1])[::-1], edge])
+    return ufunc(before, after)
+
+
 def run_loocv(
     dataset: GaitDataset, model_spec: str, config: RunConfig, jobs: int = 1
 ) -> EvalReport:
     """Train/evaluate one model spec across every leave-one-out fold.
 
-    Every trial is filtered in one batched pass (feature_blocks), and the
-    unscaled rows of all trials are stacked once, with the trial
-    boundaries.  Each fold gets one record, (trial_id, mode, start, end,
-    params): the held-out trial and its row span, and the min-max scaling
-    that fit_normalization fits here on the training trials only (on all
-    trials when config.paper_faithful_norm is set).  The fit reads each
-    trial's 2-row block of column mins and maxs, not its rows: min and max
-    are exact, so the bits are the same at O(trials) cost per fold.  For
+    Every trial is filtered and differentiated in one batched pass
+    (feature_rows), which returns the unscaled rows of all trials already
+    stacked, with the trial boundaries; the folds read those arrays.  Each
+    fold gets one record, (trial_id, mode, start, end, params): the
+    held-out trial and its row span, and the min-max scaling that
+    fit_normalization fits here on the training trials only (on all trials
+    when config.paper_faithful_norm is set).  Each trial's column mins and
+    maxs are taken once (reduceat), and a fold's fit reads one 2-row block:
+    the running extrema of the trials before it combined with those of the
+    trials after it.  Min and max are exact, so the bits are those of a fit
+    on the training rows, at O(1) rows per fold.  For
     the linear model each trial's unscaled block is also factored once
     (linear_factor, a 7 x 9 [R | Q'y]), and a fold solves from the other
     trials' factors times its scaling matrix (linear_fit_factored): it
@@ -206,7 +217,7 @@ def run_loocv(
     jobs=1); an MLP or SVR chunk allocates its training-row and target
     buffers once and builds every fold's training set in them
     (_run_chunk).  The optional SVR grid search runs before LOO on the same
-    per-trial blocks under the pooled scaling, so every held-out trial
+    per-trial rows under the pooled scaling, so every held-out trial
     influences the chosen hyperparameters; report.json then records its
     fit counts.  Results are deterministic for fixed seeds and independent
     of the job count.
@@ -220,13 +231,15 @@ def run_loocv(
     base_filter = ButterworthFilter.design(
         config.cutoff_hz, dataset.trials[0].sample_rate_hz, config.filter_order
     )
-    blocks = feature_blocks(dataset, base_filter, config.filter_targets)
-    extrema = [np.stack([x.min(axis=0), x.max(axis=0)]) for x, _ in blocks]
-    pooled_params = fit_normalization(np.concatenate(extrema))
+    x_all, y_all, bounds = feature_rows(dataset, base_filter, config.filter_targets)
+    spans = list(zip(bounds, bounds[1:]))
+    mins = np.minimum.reduceat(x_all, bounds[:-1])
+    maxs = np.maximum.reduceat(x_all, bounds[:-1])
+    pooled_params = fit_normalization(np.concatenate([mins, maxs]))
     svr_grid = None
     if model_spec == "svr" and config.svr_grid_c is not None:
         (c, epsilon, gamma), fits, capped = grid_search_svr(
-            [(apply_normalization(x, pooled_params), y) for x, y in blocks],
+            [(apply_normalization(x_all[a:b], pooled_params), y_all[a:b]) for a, b in spans],
             config.svr_grid_c,
             config.svr_grid_epsilon,
             config.svr_grid_gamma,
@@ -237,19 +250,20 @@ def run_loocv(
         svr_grid = {"fits": fits, "capped_fits": capped}
         # the folds, and the report's config echo, use the chosen values
         config = config.with_overrides({"svr_c": c, "svr_epsilon": epsilon, "svr_gamma": gamma})
-    bounds = np.cumsum([0] + [len(x) for x, _ in blocks]).tolist()
+    # row k: the column extrema of every trial but k, for fold k's scaling
+    fold_extrema = np.stack(
+        [_all_but_each(mins, np.minimum, np.inf), _all_but_each(maxs, np.maximum, -np.inf)],
+        axis=1,
+    )
     records = []
-    for k, trial in enumerate(dataset):
+    for k, (trial, (start, end)) in enumerate(zip(dataset, spans)):
         params = pooled_params
         if not config.paper_faithful_norm:
-            params = fit_normalization(np.concatenate(extrema[:k] + extrema[k + 1 :]))
-        records.append((trial.trial_id, trial.mode, bounds[k], bounds[k + 1], params))
+            params = fit_normalization(fold_extrema[k])
+        records.append((trial.trial_id, trial.mode, start, end, params))
     factors = None
     if model_spec == "linear":
-        factors = np.stack([linear_factor(x, y) for x, y in blocks])
-    x_all = np.concatenate([x for x, _ in blocks])
-    y_all = np.concatenate([y for _, y in blocks])
-    del blocks  # the folds read only the stacked rows
+        factors = np.stack([linear_factor(x_all[a:b], y_all[a:b]) for a, b in spans])
     payload = (x_all, y_all, factors, records, model_spec, config)
 
     n = len(dataset)

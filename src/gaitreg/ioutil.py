@@ -34,14 +34,33 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     return path
 
 
+def refuse_non_directory(directory: str | Path) -> None:
+    """ConfigError if directory, or the nearest of its ancestors that exists, is not a directory.
+
+    Nothing could be written under such a path, so a run calls this before
+    it generates or fits anything.
+    """
+    directory = Path(directory)
+    for path in (directory, *directory.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(
+                    f"{directory} cannot be an output directory: "
+                    f"{path} exists and is not a directory"
+                )
+            return
+
+
 def refuse_foreign_entries(directory: str | Path, names: Iterable[str]) -> None:
     """ConfigError if directory holds an entry whose name is not in names.
 
     A run calls this before writing anything, so the tree it leaves holds
     only its own files; the same run again into the same directory passes.
-    A directory that does not exist passes too.
+    A directory that does not exist passes too; a path that is not a
+    directory is refused (refuse_non_directory).
     """
     directory = Path(directory)
+    refuse_non_directory(directory)
     if not directory.is_dir():
         return
     names = set(names)

@@ -12,10 +12,11 @@ All zero-phase filtering goes through one batched core: every signal that
 shares a sample rate is reflect-padded into a column of one matrix, and
 the recurrence steps down all columns a row at a time, so a whole dataset
 costs one Python-level loop per pass instead of one per signal, with the
-same bits as filtering each signal alone.  feature_blocks builds every
-trial's unscaled blocks this way; run_loocv then fits each fold's min-max
-scaling from the trials' own column extrema, which is exact because min
-and max are.
+same bits as filtering each signal alone.  feature_rows builds every
+trial's unscaled rows this way into one stack and differentiates the
+filtered angles of all trials in one pass over it; run_loocv then fits
+each fold's min-max scaling from the trials' own column extrema, which is
+exact because min and max are.
 """
 
 from __future__ import annotations
@@ -131,17 +132,21 @@ def _sosfilt_rows(sections, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _zero_phase(signals, filt: ButterworthFilter) -> list[np.ndarray]:
+def _zero_phase(signals, filt: ButterworthFilter, width: int = 1) -> np.ndarray:
     """lowpass_zero_phase of every signal, in one batched pass per direction.
 
-    The reflect-padded signals become the columns of one left-aligned
-    (L, m) matrix with zero-filled tails.  The backward pass reverses each
-    column's own valid prefix with a gather, filters, and gathers back.
-    Rows past a column's length carry junk that is never read.
+    signals come in runs of width equal-length signals; the result stacks
+    each run's filtered samples as rows of width columns, so it has shape
+    (total run length, width).  The reflect-padded signals become the
+    columns of one left-aligned (L, m) matrix, gathered from their
+    concatenation in one step.  The backward pass reverses each column's
+    own padded prefix with a gather, and one last gather reads every run's
+    trimmed samples back in forward order.  Rows past a column's padded
+    length carry junk that is never read.
     """
     pad = 3 * filt.order
-    padded = []
-    for signal in signals:
+    xs = []
+    for i, signal in enumerate(signals):
         x = np.asarray(signal, dtype=np.float64)
         if x.ndim != 1:
             raise PreprocessError(f"signal must be 1-D, got shape {x.shape}")
@@ -149,17 +154,38 @@ def _zero_phase(signals, filt: ButterworthFilter) -> list[np.ndarray]:
             raise PreprocessError(
                 f"signal of length {len(x)} too short to filter; need >= {pad} (3 x order)"
             )
-        padded.append(np.concatenate([x[pad - 1 :: -1], x, x[-1 : -pad - 1 : -1]]))
-    lens = np.array([len(p) for p in padded])
-    y = np.zeros((lens.max(), len(padded)))
-    for col, p in enumerate(padded):
-        y[: len(p), col] = p
-    rows = np.arange(len(y))[:, None]
-    cols = np.arange(len(padded))
-    rev = np.where(rows < lens, lens - 1 - rows, rows)
+        if i % width and len(x) != len(xs[-1]):
+            raise PreprocessError(
+                f"signals filtered as one block need equal lengths, got {len(xs[-1])} and {len(x)}"
+            )
+        xs.append(x)
+    n = np.array([len(x) for x in xs])
+    m = len(xs)
+    padded = n + 2 * pad
+    rows = np.arange(padded.max())[:, None]
+    # each gather's (L, m) index matrix is built in place and freed before
+    # the pass that follows, so a pass holds three (L, m) matrices at most
+    at = 2 * n + pad - 1 - rows  # each padded row's sample, reflected at both ends
+    np.minimum(at, np.maximum(rows - pad, pad - 1 - rows), out=at)
+    np.maximum(at, 0, out=at)
+    at += np.cumsum(n) - n
+    y = np.concatenate(xs).take(at)
+    del at
     y = _sosfilt_rows(filt.sections, y)
-    y = _sosfilt_rows(filt.sections, y[rev, cols])[rev, cols].T.copy()
-    return [y[col, pad : n - pad] for col, n in enumerate(lens)]
+    rev = padded - 1 - rows
+    np.copyto(rev, rows, where=rows >= padded)
+    rev *= m  # flat index into the C-ordered matrix: row * m + column
+    rev += np.arange(m)
+    y = y.take(rev)
+    del rev
+    y = _sosfilt_rows(filt.sections, y)
+    # sample j of a run of length r sits at reversed row r + pad - 1 - j; as
+    # stacked row s of a run whose rows end before row e, at e + pad - 1 - s
+    runs = n[::width]
+    ends = np.cumsum(runs)
+    rev_rows = np.repeat(ends + pad - 1, runs) - np.arange(ends[-1])
+    run_cols = np.repeat(np.arange(0, m, width), runs)
+    return y.take((rev_rows * m + run_cols)[:, None] + np.arange(width))
 
 
 def lowpass_zero_phase(signal: np.ndarray, filt: ButterworthFilter) -> np.ndarray:
@@ -168,7 +194,24 @@ def lowpass_zero_phase(signal: np.ndarray, filt: ButterworthFilter) -> np.ndarra
     Edges are handled by reflection (edge sample included) of length
     3 * order on each side, removed after the two passes.
     """
-    return _zero_phase([signal], filt)[0]
+    return _zero_phase([signal], filt)[:, 0]
+
+
+def _gradient(f: np.ndarray, bounds, dt: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.gradient(edge_order=1) of every segment bounds[i]:bounds[i + 1] of f, into out.
+
+    Central differences run down the whole stack in one pass, then each
+    segment's first and last rows are rewritten one-sided.  dt holds each
+    row's sample spacing, broadcast against f.  These are np.gradient's
+    expressions, so the bits are np.gradient's.
+    """
+    bounds = np.asarray(bounds)
+    first, last = bounds[:-1], bounds[1:] - 1
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * dt[1:-1]
+    out[first] = (f[first + 1] - f[first]) / dt[first]
+    out[last] = (f[last] - f[last - 1]) / dt[last]
+    return out
 
 
 def differentiate(signal: np.ndarray, dt: float) -> np.ndarray:
@@ -178,7 +221,7 @@ def differentiate(signal: np.ndarray, dt: float) -> np.ndarray:
         raise PreprocessError(f"need at least 3 samples to differentiate, got {len(x)}")
     if not dt > 0.0:
         raise PreprocessError(f"dt must be positive, got {dt}")
-    return np.gradient(x, dt, edge_order=1)
+    return _gradient(x, [0, len(x)], np.full(len(x), float(dt)), np.empty_like(x))
 
 
 @dataclass(frozen=True)
@@ -280,13 +323,17 @@ def spectral_energy_fraction(
     return float(power[folded_hz <= threshold_hz].sum() / total)
 
 
-def _input_columns(hip: np.ndarray, knee: np.ndarray, dt: float) -> np.ndarray:
-    """The (n, 6) unnormalized input columns from the filtered angles."""
-    hip_v = differentiate(hip, dt)
-    hip_a = differentiate(hip_v, dt)
-    knee_v = differentiate(knee, dt)
-    knee_a = differentiate(knee_v, dt)
-    return np.column_stack([hip, hip_v, hip_a, knee, knee_v, knee_a])
+def _input_rows(angles: np.ndarray, bounds, dt: np.ndarray) -> np.ndarray:
+    """The (n, 6) unnormalized input rows from stacked (n, 2) filtered [hip, knee] angles.
+
+    Each segment bounds[i]:bounds[i + 1] is one trial, differentiated on
+    its own; dt is the (n, 1) column of each row's sample spacing.
+    """
+    rows = np.empty((len(angles), 6))
+    rows[:, 0::3] = angles
+    _gradient(rows[:, 0::3], bounds, dt, out=rows[:, 1::3])
+    _gradient(rows[:, 1::3], bounds, dt, out=rows[:, 2::3])
+    return rows
 
 
 def input_features(
@@ -299,8 +346,42 @@ def input_features(
 
     filt must already be designed for sample_rate_hz.
     """
-    hip, knee = _zero_phase([theta_hip, theta_knee], filt)
-    return _input_columns(hip, knee, 1.0 / sample_rate_hz)
+    angles = _zero_phase([theta_hip, theta_knee], filt, width=2)
+    dt = np.full((len(angles), 1), 1.0 / sample_rate_hz)
+    return _input_rows(angles, [0, len(angles)], dt)
+
+
+def feature_rows(
+    trials: Iterable[GaitTrial], filt: ButterworthFilter, filter_targets: bool = True
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(inputs, targets, bounds): every trial's unnormalized rows, stacked in the order given.
+
+    inputs is (n, 6) and targets (n, 2); trial i owns rows bounds[i] to
+    bounds[i + 1].  Trials sharing a sample rate are filtered together in
+    one batched zero-phase pass, with filt redesigned once per rate, and
+    the filtered angles of all trials are differentiated in one pass.
+    """
+    trials = list(trials)
+    lengths = [t.n_samples for t in trials]
+    bounds = np.cumsum([0] + lengths).tolist()
+    rates = np.repeat([t.sample_rate_hz for t in trials], lengths)
+    width = 4 if filter_targets else 2
+    filtered = np.empty((bounds[-1], width))
+    for rate in dict.fromkeys(t.sample_rate_hz for t in trials):
+        signals = []
+        for t in trials:
+            if t.sample_rate_hz == rate:
+                signals += [t.theta_hip, t.theta_knee, t.theta_ankle, t.tau_ankle][:width]
+        filtered[rates == rate] = _zero_phase(signals, filt.with_sample_rate(rate), width)
+    inputs = _input_rows(filtered[:, :2], bounds, (1.0 / rates)[:, None])
+    if filter_targets:
+        targets = filtered[:, 2:].copy()
+    else:
+        targets = np.column_stack(
+            [np.concatenate([t.theta_ankle for t in trials]),
+             np.concatenate([t.tau_ankle for t in trials])]
+        )
+    return inputs, targets, bounds
 
 
 def feature_blocks(
@@ -308,29 +389,10 @@ def feature_blocks(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Unnormalized (inputs, targets) per trial, in the order given.
 
-    Trials sharing a sample rate are filtered together in one batched
-    zero-phase pass, with filt redesigned once per rate.
+    Each block is a row view of feature_rows' stacked arrays.
     """
-    trials = list(trials)
-    by_rate: dict[float, list[int]] = {}
-    for i, trial in enumerate(trials):
-        by_rate.setdefault(trial.sample_rate_hz, []).append(i)
-    width = 4 if filter_targets else 2
-    blocks: list = [None] * len(trials)
-    for rate, members in by_rate.items():
-        signals = []
-        for i in members:
-            t = trials[i]
-            signals += [t.theta_hip, t.theta_knee, t.theta_ankle, t.tau_ankle][:width]
-        filtered = iter(_zero_phase(signals, filt.with_sample_rate(rate)))
-        for i in members:
-            inputs = _input_columns(next(filtered), next(filtered), 1.0 / rate)
-            if filter_targets:
-                targets = np.column_stack([next(filtered), next(filtered)])
-            else:
-                targets = np.column_stack([trials[i].theta_ankle, trials[i].tau_ankle])
-            blocks[i] = (inputs, targets)
-    return blocks
+    inputs, targets, bounds = feature_rows(trials, filt, filter_targets)
+    return [(inputs[a:b], targets[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def trial_features(
@@ -343,14 +405,12 @@ def trial_features(
 def build_features(
     dataset: GaitDataset, filt: ButterworthFilter, filter_targets: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(inputs, targets) of every trial's feature_blocks rows, stacked in dataset order.
+    """(inputs, targets) of every trial's feature_rows, stacked in dataset order.
 
     inputs is the (n, 6) matrix min-max scaled over these rows; targets,
     (n, 2) [theta_ankle_deg, tau_ankle_Nm], are never scaled.  run_loocv
-    works on the per-trial blocks directly and fits the scaling per fold;
+    works on the unscaled stack directly and fits the scaling per fold;
     this whole-dataset view serves library callers and demos.
     """
-    blocks = feature_blocks(dataset, filt, filter_targets)
-    inputs = np.concatenate([b[0] for b in blocks])
-    targets = np.concatenate([b[1] for b in blocks])
+    inputs, targets, _ = feature_rows(dataset, filt, filter_targets)
     return apply_normalization(inputs, fit_normalization(inputs)), targets

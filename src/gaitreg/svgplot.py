@@ -31,6 +31,11 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _points(xs: list[float], ys: list[float]) -> list[str]:
+    """"x,y" pairs with _fmt's two decimals."""
+    return [f"{a:.2f},{b:.2f}" for a, b in zip(xs, ys)]
+
+
 def _tick_label(v: float) -> str:
     text = f"{v:.4g}"
     return text
@@ -97,17 +102,15 @@ def band_plot_svg(
             f'<text x="{_fmt(px(divider_x) + 6)}" y="{_fmt(_TOP + 12)}" text-anchor="start" '
             f'font-family="sans-serif" font-size="11" fill="#666666">swing</text>'
         )
-    # error band
-    upper = [f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(x, mean + half_band)]
-    lower = [
-        f"{_fmt(px(a))},{_fmt(py(max(b, 0.0)))}"
-        for a, b in zip(x[::-1], (mean - half_band)[::-1])
-    ]
+    # error band and mean line; px and py map whole arrays elementwise
+    xs = px(x).tolist()
+    upper = _points(xs, py(mean + half_band).tolist())
+    floor = py(np.maximum(mean - half_band, 0.0)).tolist()
+    lower = _points(xs[::-1], floor[::-1])
     parts.append(
         '<polygon points="' + " ".join(upper + lower) + '" fill="#aec7e8" fill-opacity="0.55"/>'
     )
-    # mean line
-    pts = " ".join(f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(x, mean))
+    pts = " ".join(_points(xs, py(mean).tolist()))
     parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="1.8"/>')
     # frame + labels
     parts.append(

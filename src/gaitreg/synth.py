@@ -31,6 +31,7 @@ import numpy as np
 
 from .data import MIN_TRIAL_SAMPLES, MODES, GaitDataset, GaitTrial, write_trial_csv
 from .errors import ConfigError, PipelineError
+from .ioutil import refuse_non_directory
 from .preprocessing import (
     DEFAULT_CUTOFF_HZ,
     DEFAULT_FILTER_ORDER,
@@ -246,8 +247,10 @@ def export_dataset(config: SynthConfig, out_dir: str | Path) -> dict:
 
     A *.csv in out_dir that this config does not produce would load as one
     more trial, so it is a ConfigError, raised before anything is written.
+    So is an out_dir that is not a directory, raised before generating.
     """
     out_dir = Path(out_dir)
+    refuse_non_directory(out_dir)
     dataset = generate(config)
     stale = sorted(p.name for p in out_dir.glob("*.csv") if p.stem not in dataset.trial_ids)
     if stale:

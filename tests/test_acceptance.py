@@ -38,9 +38,12 @@ FS = 200.0
 
 @pytest.fixture(scope="module")
 def mlp_default_report(default_dataset, default_config):
-    """Full 41-fold MLP LOO on the default synthetic dataset (criteria 7, 10)."""
+    """Full 41-fold MLP LOO on the default synthetic dataset (criteria 7, 10).
+
+    Run at jobs=2: criterion 8 pins the report bytes at every job count.
+    """
     start = time.perf_counter()
-    report = run_loocv(default_dataset, "mlp", default_config)
+    report = run_loocv(default_dataset, "mlp", default_config, jobs=2)
     report.runtime_s = time.perf_counter() - start
     return report
 

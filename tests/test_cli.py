@@ -561,3 +561,31 @@ class TestCompare:
             report = json.loads((compare_out / spec / "report.json").read_text())
             orders.append([f["trial_id"] for f in report["folds"]])
         assert orders[0] == orders[1] == orders[2]
+
+
+@pytest.mark.parametrize("nested", [False, True])
+@pytest.mark.parametrize("command", ["synth", "loocv", "compare"])
+def test_out_that_is_not_a_directory_exits_2_before_any_work(
+    synth_dir, tmp_path, monkeypatch, capsys, command, nested
+):
+    import gaitreg.synth as synth
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("generated or fitted despite an unusable --out")
+
+    monkeypatch.setattr(cli, "run_loocv", forbidden)
+    monkeypatch.setattr(synth, "generate", forbidden)
+    blocker = tmp_path / "out"
+    blocker.write_text("a file, not a directory")
+    out = blocker / "run" if nested else blocker
+    args = [command, "--config", str(synth_dir / "config.json"), "--out", str(out)]
+    if command != "synth":
+        args += ["--data", str(synth_dir / "data")]
+    if command == "loocv":
+        args += ["--model", "linear"]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {out} cannot be an output directory: {blocker} exists and is not a directory"
+    ]
+    assert sorted(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == "a file, not a directory"

@@ -198,6 +198,8 @@ class TestCsvRoundTrip:
             ("short", "word", "row 6: column length mismatch: expected 5 values, got 4"),
             ("word", "short", "row 6, column 'theta_knee_deg': non-numeric cell 'oops'"),
             ("long", "word", "row 6: column length mismatch: expected 5 values, got 6"),
+            # 4 + 6 cells fill two rows' worth: the widths are checked row by row
+            ("short", "long", "row 6: column length mismatch: expected 5 values, got 4"),
         ],
     )
     def test_first_bad_row_is_named_whatever_follows(self, tmp_path, first, second, named):
@@ -277,6 +279,14 @@ class TestCsvRoundTrip:
         lines[7] = ",".join(cells)
         path = write_csv_text(tmp_path / "bad.csv", "\n".join(lines))
         with pytest.raises(ParseError, match="uniform spacing"):
+            load_trial_csv(path)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_sample_rate_whose_times_overflow_rejected(self, tmp_path):
+        # 1e-9 / fs overflows too, so only the infinite expected times can fail the check
+        text = trial_csv_text(make_trial()).replace("rate_hz=200.0", "rate_hz=5e-324")
+        path = write_csv_text(tmp_path / "bad.csv", text)
+        with pytest.raises(ParseError, match="bad.csv: row 4: time_s 0.005 deviates"):
             load_trial_csv(path)
 
     def test_non_utf8_file_names_path(self, tmp_path):

@@ -164,16 +164,16 @@ class TestRunLoocv:
         import gaitreg.preprocessing as preprocessing
 
         calls = []
-        original = preprocessing.feature_blocks
+        original = preprocessing.feature_rows
 
         def counting(trials, *args):
             trials = list(trials)
             calls.append([t.trial_id for t in trials])
             return original(trials, *args)
 
-        # the grid search must reuse the LOO blocks, not filter trials again
-        monkeypatch.setattr(evaluation, "feature_blocks", counting)
-        monkeypatch.setattr(preprocessing, "feature_blocks", counting)
+        # the grid search must reuse the LOO rows, not filter trials again
+        monkeypatch.setattr(evaluation, "feature_rows", counting)
+        monkeypatch.setattr(preprocessing, "feature_rows", counting)
         config = small_config.with_overrides(
             {
                 "svr_grid_c": [1.0, 10.0],
@@ -326,23 +326,24 @@ class TestRunLoocv:
         from gaitreg import linear_fit, linear_predict
         from gaitreg.preprocessing import ButterworthFilter, apply_normalization, fit_normalization
 
-        original = evaluation.feature_blocks
+        original = evaluation.feature_rows
 
         def flattened(*args):
-            blocks = [(x.copy(), y) for x, y in original(*args)]
-            for x, _ in blocks:
-                x[:, 2] = 5.0  # the same value in every trial: a degenerate column
-            return blocks
+            x, y, bounds = original(*args)
+            x = x.copy()
+            x[:, 2] = 5.0  # the same value in every trial: a degenerate column
+            return x, y, bounds
 
         if constant_column:
-            monkeypatch.setattr(evaluation, "feature_blocks", flattened)
+            monkeypatch.setattr(evaluation, "feature_rows", flattened)
         config = small_config.with_overrides({"paper_faithful_norm": paper_faithful_norm})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             report = run_loocv(small_dataset, "linear", config)
         filt = ButterworthFilter.design(config.cutoff_hz, 200.0, config.filter_order)
-        blocks = evaluation.feature_blocks(small_dataset, filt, config.filter_targets)
-        pooled = fit_normalization(np.concatenate([x for x, _ in blocks]))
+        x_all, y_all, bounds = evaluation.feature_rows(small_dataset, filt, config.filter_targets)
+        blocks = [(x_all[a:b], y_all[a:b]) for a, b in zip(bounds, bounds[1:])]
+        pooled = fit_normalization(x_all)
         expected_warnings = []
         for k, fold in enumerate(report.folds):
             others = blocks[:k] + blocks[k + 1 :]

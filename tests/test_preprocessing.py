@@ -170,6 +170,11 @@ def two_rate_dataset():
     return GaitDataset(tuple(trials))
 
 
+def split_runs(stacked, lengths):
+    """The one-column _zero_phase stack cut back into its signals."""
+    return np.split(stacked[:, 0], np.cumsum(lengths)[:-1])
+
+
 class TestBatchedFilter:
     """The batched zero-phase pass against the per-signal loop, bit for bit."""
 
@@ -191,7 +196,7 @@ class TestBatchedFilter:
         stream = np.random.default_rng(order)
         lengths = [3 * order, 3 * order + 1, 50, 3 * order + 2, 121]
         signals = [np.cumsum(stream.standard_normal(n)) for n in lengths]
-        for x, y in zip(signals, _zero_phase(signals, filt)):
+        for x, y in zip(signals, split_runs(_zero_phase(signals, filt), lengths)):
             assert np.array_equal(y, loop_zero_phase(filt.sections, x, order))
 
     def test_two_sample_rates_keep_dataset_order(self, filt):
@@ -215,7 +220,8 @@ class TestBatchedFilter:
         filt = ButterworthFilter.design(cutoff_frac * fs, fs, order)
         stream = np.random.default_rng(seed)
         signals = [stream.standard_normal(3 * order + k) * 10.0 for k in extra]
-        for x, y in zip(signals, _zero_phase(signals, filt)):
+        lengths = [len(x) for x in signals]
+        for x, y in zip(signals, split_runs(_zero_phase(signals, filt), lengths)):
             assert np.array_equal(y, loop_zero_phase(filt.sections, x, order))
 
 
@@ -244,6 +250,10 @@ class TestDifferentiate:
         acc = differentiate(differentiate(x, 1 / FS), 1 / FS)
         expected = -((2 * pi) ** 2) * np.sin(2 * pi * t)
         assert np.abs(acc[2:-2] - expected[2:-2]).max() < 0.05
+
+    def test_bits_are_np_gradient(self):
+        x = np.cumsum(np.random.default_rng(8).standard_normal(77))
+        assert np.array_equal(differentiate(x, 1 / FS), np.gradient(x, 1 / FS, edge_order=1))
 
     def test_too_short_rejected(self):
         with pytest.raises(PreprocessError, match="3 samples"):
