@@ -90,6 +90,11 @@ class RunConfig:
         dims = self.layer_dims  # the six input features in, angle and moment out
         if len(dims) < 2 or dims[0] != 6 or dims[-1] != 2 or min(dims) < 1:
             raise ConfigError(f"layer_dims must be >= 2 positive sizes from 6 to 2, got {dims}")
+        # with these two, a filter design can fail only on a trial's sample rate
+        if self.filter_order < 1:
+            raise ConfigError(f"filter_order must be >= 1, got {self.filter_order}")
+        if not self.cutoff_hz > 0.0:
+            raise ConfigError(f"cutoff_hz must be > 0, got {self.cutoff_hz}")
         if self.phase_bins < 2:
             raise ConfigError(f"phase_bins must be >= 2, got {self.phase_bins}")
         grids = (self.svr_grid_c, self.svr_grid_epsilon, self.svr_grid_gamma)

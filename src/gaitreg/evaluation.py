@@ -228,9 +228,15 @@ def run_loocv(
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if len(dataset) < 2:
         raise ConfigError(f"leave-one-out needs at least 2 trials, got {len(dataset)}")
-    base_filter = ButterworthFilter.design(
-        config.cutoff_hz, dataset.trials[0].sample_rate_hz, config.filter_order
-    )
+    # RunConfig checked the order and cutoff, so a design can fail only on a rate;
+    # feature_rows redesigns this filter for every other rate, naming its first trial
+    first = dataset.trials[0]
+    try:
+        base_filter = ButterworthFilter.design(
+            config.cutoff_hz, first.sample_rate_hz, config.filter_order
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"trial {first.trial_id!r}: {exc}") from None
     x_all, y_all, bounds = feature_rows(dataset, base_filter, config.filter_targets)
     spans = list(zip(bounds, bounds[1:]))
     mins = np.minimum.reduceat(x_all, bounds[:-1])

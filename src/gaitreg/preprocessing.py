@@ -14,9 +14,12 @@ the recurrence steps down all columns a row at a time, so a whole dataset
 costs one Python-level loop per pass instead of one per signal, with the
 same bits as filtering each signal alone.  feature_rows builds every
 trial's unscaled rows this way into one stack and differentiates the
-filtered angles of all trials in one pass over it; run_loocv then fits
-each fold's min-max scaling from the trials' own column extrema, which is
-exact because min and max are.
+filtered angles of all trials in one pass over it (np.gradient's central
+differences, one-sided at each trial's ends).  It is the one place input
+rows are built: run_loocv, trial_features, build_features and synth's
+linear_mode targets all read it.  run_loocv then fits each fold's min-max
+scaling from the trials' own column extrema, which is exact because min
+and max are.
 """
 
 from __future__ import annotations
@@ -214,16 +217,6 @@ def _gradient(f: np.ndarray, bounds, dt: np.ndarray, out: np.ndarray) -> np.ndar
     return out
 
 
-def differentiate(signal: np.ndarray, dt: float) -> np.ndarray:
-    """Central differences inside, one-sided first-order at the two ends."""
-    x = np.asarray(signal, dtype=np.float64)
-    if len(x) < 3:
-        raise PreprocessError(f"need at least 3 samples to differentiate, got {len(x)}")
-    if not dt > 0.0:
-        raise PreprocessError(f"dt must be positive, got {dt}")
-    return _gradient(x, [0, len(x)], np.full(len(x), float(dt)), np.empty_like(x))
-
-
 @dataclass(frozen=True)
 class NormalizationParams:
     """Per-column min/max fitted on training rows only."""
@@ -323,34 +316,6 @@ def spectral_energy_fraction(
     return float(power[folded_hz <= threshold_hz].sum() / total)
 
 
-def _input_rows(angles: np.ndarray, bounds, dt: np.ndarray) -> np.ndarray:
-    """The (n, 6) unnormalized input rows from stacked (n, 2) filtered [hip, knee] angles.
-
-    Each segment bounds[i]:bounds[i + 1] is one trial, differentiated on
-    its own; dt is the (n, 1) column of each row's sample spacing.
-    """
-    rows = np.empty((len(angles), 6))
-    rows[:, 0::3] = angles
-    _gradient(rows[:, 0::3], bounds, dt, out=rows[:, 1::3])
-    _gradient(rows[:, 1::3], bounds, dt, out=rows[:, 2::3])
-    return rows
-
-
-def input_features(
-    theta_hip: np.ndarray,
-    theta_knee: np.ndarray,
-    filt: ButterworthFilter,
-    sample_rate_hz: float,
-) -> np.ndarray:
-    """The (n, 6) unnormalized input columns, in the module docstring's order.
-
-    filt must already be designed for sample_rate_hz.
-    """
-    angles = _zero_phase([theta_hip, theta_knee], filt, width=2)
-    dt = np.full((len(angles), 1), 1.0 / sample_rate_hz)
-    return _input_rows(angles, [0, len(angles)], dt)
-
-
 def feature_rows(
     trials: Iterable[GaitTrial], filt: ButterworthFilter, filter_targets: bool = True
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -359,21 +324,39 @@ def feature_rows(
     inputs is (n, 6) and targets (n, 2); trial i owns rows bounds[i] to
     bounds[i + 1].  Trials sharing a sample rate are filtered together in
     one batched zero-phase pass, with filt redesigned once per rate, and
-    the filtered angles of all trials are differentiated in one pass.
+    the filtered angles of all trials are differentiated in one pass.  A
+    trial too short for filt's padding, or the first trial at a rate too
+    slow for its cutoff, is named in the error.
     """
     trials = list(trials)
+    pad = 3 * filt.order
+    short = next((t for t in trials if t.n_samples < pad), None)
+    if short is not None:
+        raise PreprocessError(
+            f"trial {short.trial_id!r}: signal of length {short.n_samples} too short to "
+            f"filter; need >= {pad} (3 x order)"
+        )
     lengths = [t.n_samples for t in trials]
     bounds = np.cumsum([0] + lengths).tolist()
     rates = np.repeat([t.sample_rate_hz for t in trials], lengths)
     width = 4 if filter_targets else 2
     filtered = np.empty((bounds[-1], width))
     for rate in dict.fromkeys(t.sample_rate_hz for t in trials):
+        group = [t for t in trials if t.sample_rate_hz == rate]
+        try:
+            rate_filt = filt.with_sample_rate(rate)
+        except ConfigError as exc:
+            raise ConfigError(f"trial {group[0].trial_id!r}: {exc}") from None
         signals = []
-        for t in trials:
-            if t.sample_rate_hz == rate:
-                signals += [t.theta_hip, t.theta_knee, t.theta_ankle, t.tau_ankle][:width]
-        filtered[rates == rate] = _zero_phase(signals, filt.with_sample_rate(rate), width)
-    inputs = _input_rows(filtered[:, :2], bounds, (1.0 / rates)[:, None])
+        for t in group:
+            signals += [t.theta_hip, t.theta_knee, t.theta_ankle, t.tau_ankle][:width]
+        filtered[rates == rate] = _zero_phase(signals, rate_filt, width)
+    # [theta, dtheta, ddtheta] per joint, each trial differentiated on its own
+    inputs = np.empty((bounds[-1], 6))
+    inputs[:, 0::3] = filtered[:, :2]
+    dt = (1.0 / rates)[:, None]
+    _gradient(inputs[:, 0::3], bounds, dt, out=inputs[:, 1::3])
+    _gradient(inputs[:, 1::3], bounds, dt, out=inputs[:, 2::3])
     if filter_targets:
         targets = filtered[:, 2:].copy()
     else:
@@ -384,22 +367,12 @@ def feature_rows(
     return inputs, targets, bounds
 
 
-def feature_blocks(
-    trials: Iterable[GaitTrial], filt: ButterworthFilter, filter_targets: bool = True
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Unnormalized (inputs, targets) per trial, in the order given.
-
-    Each block is a row view of feature_rows' stacked arrays.
-    """
-    inputs, targets, bounds = feature_rows(trials, filt, filter_targets)
-    return [(inputs[a:b], targets[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-
 def trial_features(
     trial: GaitTrial, filt: ButterworthFilter, filter_targets: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized (inputs, targets) for a single trial."""
-    return feature_blocks([trial], filt, filter_targets)[0]
+    """Unnormalized (inputs, targets) for a single trial: feature_rows of [trial]."""
+    inputs, targets, _ = feature_rows([trial], filt, filter_targets)
+    return inputs, targets
 
 
 def build_features(

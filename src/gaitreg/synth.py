@@ -19,12 +19,15 @@ in gaitreg.rng, seeded only from (seed, mode, trial index).
 In linear_mode both targets are instead one global affine function of the
 six pipeline features (filtered angles and their numerical derivatives,
 default filter: order 4, 6 Hz cutoff), so an exact least-squares fit can
-recover them to machine precision on noise-free data.
+recover them to machine precision on noise-free data.  generate builds
+every noise-free trial first and reads their features from one
+feature_rows pass, the pipeline's own; ground_truth runs the same map on
+its one trial, with the same bits.  The noise is drawn after the targets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import pi
 from pathlib import Path
 import numpy as np
@@ -36,7 +39,7 @@ from .preprocessing import (
     DEFAULT_CUTOFF_HZ,
     DEFAULT_FILTER_ORDER,
     ButterworthFilter,
-    input_features,
+    feature_rows,
 )
 from .rng import SplitMix64, derive_seed
 
@@ -177,8 +180,8 @@ _LINEAR_FILTER = ButterworthFilter.design(
 )
 
 
-def _trial(config: SynthConfig, mode: str, index: int):
-    """Noise-free (hip, knee, theta_ankle, tau_ankle) of one trial, and its stream.
+def _trial(config: SynthConfig, mode: str, index: int) -> tuple[GaitTrial, SplitMix64]:
+    """One trial before noise, with the analytic targets, and its stream.
 
     Draw order per trial: duration, hip amplitude, knee amplitude, then the
     noise, which the caller draws from the returned stream.
@@ -193,42 +196,46 @@ def _trial(config: SynthConfig, mode: str, index: int):
     knee, knee_slope = _series(
         phi, KNEE_SHAPES[mode], 1.0 + AMPLITUDE_JITTER * (2.0 * u_knee - 1.0)
     )
-    if config.linear_mode:
-        features = input_features(hip, knee, _LINEAR_FILTER, SYNTH_SAMPLE_RATE_HZ)
-        theta_ankle, tau_ankle = (features @ LINEAR_WEIGHTS.T + LINEAR_INTERCEPT).T
-    else:
-        hip_vel, knee_vel = hip_slope / duration, knee_slope / duration
-        states = (hip / 30.0, knee / 40.0, hip_vel / 300.0, knee_vel / 400.0)
-        theta_ankle = _state_map(ANKLE_COEF[mode], *states, 1.7, -1.1)
-        tau_ankle = stance_window(phi) * _state_map(TAU_COEF[mode], *states, 0.9, 1.3)
-    return (hip, knee, theta_ankle, tau_ankle), stream
+    hip_vel, knee_vel = hip_slope / duration, knee_slope / duration
+    states = (hip / 30.0, knee / 40.0, hip_vel / 300.0, knee_vel / 400.0)
+    theta_ankle = _state_map(ANKLE_COEF[mode], *states, 1.7, -1.1)
+    tau_ankle = stance_window(phi) * _state_map(TAU_COEF[mode], *states, 0.9, 1.3)
+    columns = (hip, knee, theta_ankle, tau_ankle)
+    return GaitTrial(f"{mode}_{index:02d}", mode, SYNTH_SAMPLE_RATE_HZ, *columns), stream
+
+
+def _linear_targets(trials: list[GaitTrial]) -> list[GaitTrial]:
+    """The trials with both targets replaced by the linear_mode map of their feature_rows."""
+    inputs, _, bounds = feature_rows(trials, _LINEAR_FILTER, filter_targets=False)
+    mapped = []
+    for trial, start, end in zip(trials, bounds, bounds[1:]):
+        theta_ankle, tau_ankle = (inputs[start:end] @ LINEAR_WEIGHTS.T + LINEAR_INTERCEPT).T
+        mapped.append(replace(trial, theta_ankle=theta_ankle, tau_ankle=tau_ankle))
+    return mapped
 
 
 def generate(config: SynthConfig) -> GaitDataset:
     """Generate the full dataset; identical config gives identical output."""
-    trials = []
-    for mode in MODES:
-        for index in range(config.trials_per_mode.get(mode, 0)):
-            (hip, knee, theta_ankle, tau_ankle), stream = _trial(config, mode, index)
-            if config.noise_std_deg > 0.0:
-                noise = stream.normal_block(3 * len(hip), 0.0, config.noise_std_deg).reshape(3, -1)
-                hip, knee, theta_ankle = hip + noise[0], knee + noise[1], theta_ankle + noise[2]
-            trials.append(
-                GaitTrial(
-                    trial_id=f"{mode}_{index:02d}",
-                    mode=mode,
-                    sample_rate_hz=SYNTH_SAMPLE_RATE_HZ,
-                    theta_hip=hip,
-                    theta_knee=knee,
-                    theta_ankle=theta_ankle,
-                    tau_ankle=tau_ankle,
-                )
+    counts = config.trials_per_mode
+    drawn = [_trial(config, mode, i) for mode in MODES for i in range(counts.get(mode, 0))]
+    trials = [trial for trial, _ in drawn]
+    if config.linear_mode:
+        trials = _linear_targets(trials)
+    if config.noise_std_deg > 0.0:
+        for i, (trial, (_, stream)) in enumerate(zip(trials, drawn)):
+            noise = stream.normal_block(3 * trial.n_samples, 0.0, config.noise_std_deg)
+            hip, knee, ankle = noise.reshape(3, -1)
+            trials[i] = replace(
+                trial,
+                theta_hip=trial.theta_hip + hip,
+                theta_knee=trial.theta_knee + knee,
+                theta_ankle=trial.theta_ankle + ankle,
             )
     return GaitDataset(tuple(trials))
 
 
 def ground_truth(trial_id: str, config: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Noise-free analytic (theta_ankle, tau_ankle) for a generated trial."""
+    """Noise-free (theta_ankle, tau_ankle) of a generated trial, as generate builds them."""
     mode, _, idx_str = trial_id.rpartition("_")
     if mode not in MODES or not idx_str.isdecimal():
         raise PipelineError(f"unknown trial_id {trial_id!r}")
@@ -238,8 +245,10 @@ def ground_truth(trial_id: str, config: SynthConfig) -> tuple[np.ndarray, np.nda
         raise PipelineError(
             f"trial_id {trial_id!r} not produced by this config ({count} trials for {mode})"
         )
-    (_, _, theta_ankle, tau_ankle), _ = _trial(config, mode, index)
-    return theta_ankle, tau_ankle
+    trial, _ = _trial(config, mode, index)
+    if config.linear_mode:
+        [trial] = _linear_targets([trial])
+    return trial.theta_ankle, trial.tau_ankle
 
 
 def export_dataset(config: SynthConfig, out_dir: str | Path) -> dict:

@@ -30,7 +30,7 @@ from gaitreg.baselines import (
 from gaitreg.errors import ConfigError, TrainError
 from gaitreg.preprocessing import (
     apply_normalization,
-    feature_blocks,
+    feature_rows,
     fit_normalization,
     scaling_matrix,
     trial_features,
@@ -293,9 +293,9 @@ class TestDefaultScale:
             default_dataset.trials[0].sample_rate_hz,
             default_config.filter_order,
         )
-        blocks = feature_blocks(default_dataset, filt, default_config.filter_targets)[1:]
-        x = np.concatenate([b[0] for b in blocks])
-        y = np.concatenate([b[1] for b in blocks])
+        x, y, bounds = feature_rows(default_dataset, filt, default_config.filter_targets)
+        # fold 0: every trial but the first
+        x, y = x[bounds[1] :], y[bounds[1] :]
         x = apply_normalization(x, fit_normalization(x))
         return x, (y - y.mean(axis=0)) / y.std(axis=0)
 
@@ -350,8 +350,8 @@ class TestKernel:
             small_dataset.trials[0].sample_rate_hz,
             small_config.filter_order,
         )
-        blocks = feature_blocks(small_dataset, filt, small_config.filter_targets)[1:]
-        x = np.concatenate([b[0] for b in blocks])
+        x, _, bounds = feature_rows(small_dataset, filt, small_config.filter_targets)
+        x = x[bounds[1] :]  # fold 0: every trial but the first
         x = apply_normalization(x, fit_normalization(x))
         assert len(x) > 3 * _KERNEL_BLOCK_ROWS
         gamma = 1.0 / x.shape[1]

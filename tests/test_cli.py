@@ -6,11 +6,13 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gaitreg import RunConfig, cli
+from gaitreg.data import GaitTrial, write_trial_csv
 from gaitreg.mlp import init
 from gaitreg.rng import SplitMix64, derive_seed
 
@@ -343,8 +345,10 @@ class TestConfigBoundary:
             ("seed=true", "seed"),
             ("epochs=2.5", "epochs"),
             ("filter_order=2.5", "filter_order"),
+            ("filter_order=0", "filter_order must be >= 1, got 0"),
             ('cutoff_hz="6"', "cutoff_hz"),
             ("cutoff_hz=NaN", "cutoff_hz"),
+            ("cutoff_hz=0", "cutoff_hz must be > 0, got 0"),
             ("layer_dims=[5,10,2]", "layer_dims"),
             ("layer_dims=[6,10,3]", "layer_dims"),
             ('trials_per_mode={"NormalWalk": 1.0}', "trials_per_mode"),
@@ -486,6 +490,45 @@ class TestConfigBoundary:
         assert proc.returncode == 1
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: ") and "training diverged at epoch" in line
+
+
+def write_trials(directory, specs):
+    """One trial CSV per (trial_id, sample_rate_hz, n_samples) spec."""
+    directory.mkdir()
+    for trial_id, rate, n in specs:
+        phase = np.linspace(0.0, 2.0 * np.pi, n)
+        columns = [np.sin(phase + k) for k in range(4)]
+        write_trial_csv(
+            GaitTrial(trial_id, "NormalWalk", rate, *columns), directory / f"{trial_id}.csv"
+        )
+    return directory
+
+
+class TestFilterErrorsNameTheTrial:
+    @pytest.mark.parametrize("slow", [("a",), ("b", "c")])
+    def test_rate_below_twice_the_cutoff_exits_2_naming_its_first_trial(self, tmp_path, slow):
+        specs = [(t, 10.0 if t in slow else 200.0, 48) for t in "abc"]
+        data = write_trials(tmp_path / "data", specs)
+        proc = run_cli(
+            "loocv", "--data", str(data), "--model", "linear", "--out", str(tmp_path / "rep"),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"error: trial '{slow[0]}': cutoff 6.0 Hz must lie in (0, 5.0) "
+            "for sample rate 10.0 Hz"
+        ]
+
+    def test_trial_too_short_for_the_filter_exits_1_naming_it(self, tmp_path):
+        specs = [("a", 200.0, 48), ("b", 200.0, 16), ("c", 200.0, 48)]
+        data = write_trials(tmp_path / "data", specs)
+        proc = run_cli(
+            "loocv", "--data", str(data), "--model", "linear", "--out", str(tmp_path / "rep"),
+            "--override", "filter_order=8",
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: trial 'b': signal of length 16 too short to filter; need >= 24 (3 x order)"
+        ]
 
 
 class TestGradcheck:

@@ -281,9 +281,10 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="uniform spacing"):
             load_trial_csv(path)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_sample_rate_whose_times_overflow_rejected(self, tmp_path):
-        # 1e-9 / fs overflows too, so only the infinite expected times can fail the check
+        # 1e-9 / fs overflows too, so only the infinite expected times can fail the check;
+        # the overflow itself is expected and must not warn
         text = trial_csv_text(make_trial()).replace("rate_hz=200.0", "rate_hz=5e-324")
         path = write_csv_text(tmp_path / "bad.csv", text)
         with pytest.raises(ParseError, match="bad.csv: row 4: time_s 0.005 deviates"):

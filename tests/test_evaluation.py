@@ -201,7 +201,7 @@ class TestRunLoocv:
         from gaitreg.preprocessing import (
             ButterworthFilter,
             apply_normalization,
-            feature_blocks,
+            feature_rows,
             fit_normalization,
         )
 
@@ -226,7 +226,8 @@ class TestRunLoocv:
         # a linear fold reads no training rows, but is scaled by the same fit
         run_loocv(small_dataset, "linear", config)
         filt = ButterworthFilter.design(config.cutoff_hz, 200.0, config.filter_order)
-        blocks = feature_blocks(small_dataset, filt)
+        x_all, y_all, bounds = feature_rows(small_dataset, filt)
+        blocks = [(x_all[a:b], y_all[a:b]) for a, b in zip(bounds, bounds[1:])]
         assert len({len(x) for x, _ in blocks}) > 1  # trials of unequal length
         pooled = fit_normalization(np.concatenate([x for x, _ in blocks]))
         assert sorted(seen) == list(range(len(blocks)))

@@ -8,6 +8,7 @@ leave-one-out evaluations (about a minute each) and stay manual.
 """
 
 import argparse
+import ast
 import os
 import re
 import subprocess
@@ -46,6 +47,31 @@ def test_all_lists_exactly_the_public_entry_points():
     assert sorted(gaitreg.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert callable(getattr(gaitreg, name)), name
+
+
+def referenced_names(path):
+    """Every name a module reads, bare or as an attribute; imports alone do not count."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_function_has_a_caller_outside_tests():
+    # a function that only tests call is dead code; give it a caller or delete it
+    package = sorted(Path(gaitreg.__file__).parent.glob("*.py"))
+    callers = [*package, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    used = set().union(*map(referenced_names, callers))
+    defined = [
+        (path.stem, node.name)
+        for path in package
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert defined
+    assert [f"{module}.{name}" for module, name in defined if name not in used] == []
 
 
 @pytest.mark.parametrize(

@@ -25,8 +25,7 @@ from gaitreg.preprocessing import (
     NormalizationParams,
     _zero_phase,
     apply_normalization,
-    differentiate,
-    feature_blocks,
+    feature_rows,
     fit_normalization,
     scaling_matrix,
     trial_features,
@@ -170,6 +169,12 @@ def two_rate_dataset():
     return GaitDataset(tuple(trials))
 
 
+def trial_blocks(trials, filt, filter_targets=True):
+    """Each trial's (inputs, targets): its row slice of feature_rows."""
+    inputs, targets, bounds = feature_rows(trials, filt, filter_targets)
+    return [(inputs[a:b], targets[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 def split_runs(stacked, lengths):
     """The one-column _zero_phase stack cut back into its signals."""
     return np.split(stacked[:, 0], np.cumsum(lengths)[:-1])
@@ -180,7 +185,7 @@ class TestBatchedFilter:
 
     @pytest.mark.parametrize("filter_targets", [True, False])
     def test_default_trials_match_loop(self, default_dataset, filt, filter_targets):
-        blocks = feature_blocks(default_dataset, filt, filter_targets)
+        blocks = trial_blocks(default_dataset, filt, filter_targets)
         assert len(blocks) == len(default_dataset) == 41
         for trial, (inputs, targets) in zip(default_dataset, blocks):
             ref_inputs, ref_targets = loop_trial_features(
@@ -201,7 +206,7 @@ class TestBatchedFilter:
 
     def test_two_sample_rates_keep_dataset_order(self, filt):
         dataset = two_rate_dataset()
-        blocks = feature_blocks(dataset, filt)
+        blocks = trial_blocks(dataset, filt)
         for trial, (inputs, targets) in zip(dataset, blocks):
             rate_filt = filt.with_sample_rate(trial.sample_rate_hz)
             ref_inputs, ref_targets = loop_trial_features(trial, rate_filt.sections, 4)
@@ -225,39 +230,17 @@ class TestBatchedFilter:
             assert np.array_equal(y, loop_zero_phase(filt.sections, x, order))
 
 
-class TestDifferentiate:
-    def test_constant_gives_zeros(self):
-        assert np.abs(differentiate(np.full(50, 2.2), 0.01)).max() == 0.0
-
-    def test_ramp_exact_at_interior(self):
-        ramp = 3.5 * np.arange(60) * 0.005
-        d = differentiate(ramp, 0.005)
-        assert np.abs(d - 3.5).max() < 1e-12
-
-    def test_sine_matches_analytic_derivative(self):
-        # central-difference truncation error for sin(2 pi t) at 200 Hz is
-        # exactly 2 pi (1 - sinc(2 pi / fs)) = 1.0334915e-3 at interior points
-        t = np.arange(201) / FS
-        d = differentiate(np.sin(2 * pi * t), 1.0 / FS)
-        dev = np.abs(d[1:-1] - 2 * pi * np.cos(2 * pi * t[1:-1])).max()
-        bound = 2 * pi * (1.0 - np.sin(2 * pi / FS) / (2 * pi / FS))
-        assert dev == pytest.approx(bound, abs=1e-9)
-        assert dev < 1.04e-3
-
-    def test_second_application_gives_acceleration(self):
-        t = np.arange(401) / FS
-        x = np.sin(2 * pi * t)
-        acc = differentiate(differentiate(x, 1 / FS), 1 / FS)
-        expected = -((2 * pi) ** 2) * np.sin(2 * pi * t)
-        assert np.abs(acc[2:-2] - expected[2:-2]).max() < 0.05
-
-    def test_bits_are_np_gradient(self):
-        x = np.cumsum(np.random.default_rng(8).standard_normal(77))
-        assert np.array_equal(differentiate(x, 1 / FS), np.gradient(x, 1 / FS, edge_order=1))
-
-    def test_too_short_rejected(self):
-        with pytest.raises(PreprocessError, match="3 samples"):
-            differentiate(np.array([1.0, 2.0]), 0.1)
+class TestDerivatives:
+    def test_derivative_columns_are_np_gradient_per_trial(self, filt):
+        # each trial is differentiated on its own, at its own sample rate
+        dataset = two_rate_dataset()
+        inputs, _, bounds = feature_rows(dataset, filt)
+        for trial, a, b in zip(dataset, bounds, bounds[1:]):
+            dt = 1.0 / trial.sample_rate_hz
+            for angle in (0, 3):
+                x, v, acc = inputs[a:b, angle : angle + 3].T
+                assert np.array_equal(v, np.gradient(x, dt, edge_order=1))
+                assert np.array_equal(acc, np.gradient(v, dt, edge_order=1))
 
 
 class TestNormalization:

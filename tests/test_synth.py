@@ -15,7 +15,7 @@ from gaitreg import (
 )
 from gaitreg.data import MODES
 from gaitreg.errors import ConfigError, PipelineError
-from gaitreg.preprocessing import input_features
+from gaitreg.preprocessing import feature_rows
 from gaitreg.synth import LINEAR_INTERCEPT, LINEAR_WEIGHTS
 
 
@@ -73,10 +73,11 @@ class TestDefaultShape:
 
 
 class TestGroundTruth:
-    def test_zero_noise_targets_equal_ground_truth(self):
-        config = SynthConfig(noise_std_deg=0.0)
-        dataset = generate(config)
-        for trial in dataset.trials[:5]:
+    @pytest.mark.parametrize("linear_mode", [False, True])
+    def test_zero_noise_targets_equal_ground_truth(self, linear_mode):
+        # in linear_mode ground_truth maps one trial's features, generate all trials' at once
+        config = SynthConfig(noise_std_deg=0.0, linear_mode=linear_mode)
+        for trial in generate(config):
             theta, tau = ground_truth(trial.trial_id, config)
             assert np.array_equal(theta, trial.theta_ankle)
             assert np.array_equal(tau, trial.tau_ankle)
@@ -140,13 +141,13 @@ class TestLinearMode:
         assert np.abs(residual).max() < 1e-9
 
     def test_targets_are_the_pipeline_features_mapped(self):
-        # the generator builds its targets from the same input_features the
+        # the generator builds its targets from the same feature_rows the
         # pipeline uses, so they match bit for bit, not just to a tolerance
         dataset = generate(SynthConfig(noise_std_deg=0.0, linear_mode=True))
         filt = ButterworthFilter.design(6.0, 200.0, 4)
-        for trial in dataset:
-            features = input_features(trial.theta_hip, trial.theta_knee, filt, trial.sample_rate_hz)
-            expected = features @ LINEAR_WEIGHTS.T + LINEAR_INTERCEPT
+        inputs, _, bounds = feature_rows(dataset, filt, filter_targets=False)
+        for trial, a, b in zip(dataset, bounds, bounds[1:]):
+            expected = inputs[a:b] @ LINEAR_WEIGHTS.T + LINEAR_INTERCEPT
             assert np.array_equal(np.column_stack([trial.theta_ankle, trial.tau_ankle]), expected)
 
     def test_config_validation(self):
