@@ -149,29 +149,24 @@ def _run_chunk(payload, indices: Sequence[int]) -> list[FoldResult]:
 
     A linear fold (factors given) reads no training rows: it solves from
     the other trials' linear_factor stacks, scaled by its scaling_matrix.
-    An MLP or SVR fold builds its training rows in place: the row and
-    target buffers are allocated once per chunk, sized for every stacked
-    row, and a fold fills the leading rows with the other trials' rows and
-    scales them there.
+    An MLP or SVR fold concatenates the other trials' rows and scales them
+    in place.
     """
     x_all, y_all, factors, records, model_spec, config = payload
-    if factors is None:
-        x_buf = np.empty_like(x_all)
-        y_buf = np.empty_like(y_all)
     folds = []
     for fold_idx in indices:
         trial_id, mode, start, end, params = records[fold_idx]
-        rows = len(x_all) - (end - start)
         try:
             x_test = apply_normalization(x_all[start:end], params)
             y_test = y_all[start:end]
             if factors is not None:
                 others = np.concatenate([factors[:fold_idx], factors[fold_idx + 1 :]])
+                rows = len(x_all) - (end - start)
                 model = linear_fit_factored(others, rows, scaling_matrix(params))
                 y_pred = linear_predict(model, x_test)
             else:
-                x_train = np.concatenate([x_all[:start], x_all[end:]], out=x_buf[:rows])
-                y_train = np.concatenate([y_all[:start], y_all[end:]], out=y_buf[:rows])
+                x_train = np.concatenate([x_all[:start], x_all[end:]])
+                y_train = np.concatenate([y_all[:start], y_all[end:]])
                 apply_normalization(x_train, params, out=x_train)
                 y_pred = _fit_predict(model_spec, config, fold_idx, x_train, y_train, x_test)
             r2 = {k: r2_score(y_test[:, t], y_pred[:, t]) for t, k in enumerate(TARGET_KEYS)}
@@ -207,20 +202,18 @@ def run_loocv(
     maxs are taken once (reduceat), and a fold's fit reads one 2-row block:
     the running extrema of the trials before it combined with those of the
     trials after it.  Min and max are exact, so the bits are those of a fit
-    on the training rows, at O(1) rows per fold.  For
-    the linear model each trial's unscaled block is also factored once
-    (linear_factor, a 7 x 9 [R | Q'y]), and a fold solves from the other
-    trials' factors times its scaling matrix (linear_fit_factored): it
-    reads no training rows, and its coefficients differ from a per-fold
-    lstsq on the scaled rows in the last places only.  The folds run in
-    contiguous chunks, one per worker (all of them in one chunk at
-    jobs=1); an MLP or SVR chunk allocates its training-row and target
-    buffers once and builds every fold's training set in them
-    (_run_chunk).  The optional SVR grid search runs before LOO on the same
-    per-trial rows under the pooled scaling, so every held-out trial
-    influences the chosen hyperparameters; report.json then records its
-    fit counts.  Results are deterministic for fixed seeds and independent
-    of the job count.
+    on the training rows, at O(1) rows per fold.  For the linear model
+    each trial's unscaled block is also factored once (linear_factor, a
+    7 x 9 [R | Q'y]), and a fold solves from the other trials' factors
+    times its scaling matrix (linear_fit_factored): it reads no training
+    rows, and its coefficients differ from a per-fold lstsq on the scaled
+    rows in the last places only.  Linear folds all run in this process,
+    at any jobs; MLP and SVR folds run in contiguous chunks, one per
+    worker (all of them in one chunk at jobs=1).  The optional SVR grid
+    search runs before LOO on the same per-trial rows under the pooled
+    scaling, so every held-out trial influences the chosen
+    hyperparameters; report.json then records its fit counts.  Results
+    are deterministic for fixed seeds and independent of the job count.
     """
     if model_spec not in MODEL_SPECS:
         raise ConfigError(f"unknown model spec {model_spec!r}; choose from {MODEL_SPECS}")
@@ -273,7 +266,8 @@ def run_loocv(
     payload = (x_all, y_all, factors, records, model_spec, config)
 
     n = len(dataset)
-    size = -(-n // jobs)
+    # linear folds are cheaper than forking a worker and pickling its payload
+    size = n if factors is not None else -(-n // jobs)
     chunks = [range(s, min(s + size, n)) for s in range(0, n, size)]
     if len(chunks) > 1:
         # imported here, so that a one-chunk run never loads multiprocessing

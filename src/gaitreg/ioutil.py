@@ -3,27 +3,30 @@
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
 from typing import Iterable
 
 from .errors import ConfigError
 
-# mkstemp creates its file 0600; outputs get the mode a plain open() gives.
-# The umask can only be read by setting it, so it is read once, at import.
-_UMASK = os.umask(0)
-os.umask(_UMASK)
-
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Write text to path via a temp file + rename in the same directory."""
+    """Write text to path via a temp file + rename in the same directory.
+
+    The temp file is created as open() creates a file, 0666 less the umask
+    in force, so path gets that mode too.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            pass
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)
     except BaseException:
         try:

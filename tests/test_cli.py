@@ -112,6 +112,33 @@ class TestSynth:
         assert len(written) == 11  # ten trial CSVs and manifest.json
         assert {p.stat().st_mode & 0o777 for p in written} == {mode}
 
+    def test_outputs_get_the_umask_in_force_when_written(self, tmp_path):
+        # the umask changes after gaitreg is imported, as a host program may do
+        code = (
+            "import os, sys\n"
+            "from gaitreg.ioutil import atomic_write_text\n"
+            "os.umask(0o077)\n"
+            "atomic_write_text(sys.argv[1], 'x')\n"
+        )
+        out = tmp_path / "out.txt"
+        subprocess.run([sys.executable, "-c", code, str(out)], check=True, umask=0o022)
+        assert out.stat().st_mode & 0o777 == 0o600
+
+    def test_import_and_write_never_set_the_umask(self, tmp_path):
+        code = (
+            "import os, sys\n"
+            "def refuse(mask):\n"
+            "    raise AssertionError('os.umask called')\n"
+            "os.umask = refuse\n"
+            "import gaitreg\n"
+            "from gaitreg.ioutil import atomic_write_text\n"
+            "atomic_write_text(sys.argv[1], 'x')\n"
+        )
+        out = tmp_path / "out.txt"
+        subprocess.run([sys.executable, "-c", code, str(out)], check=True, umask=0o022)
+        assert out.read_text() == "x"
+        assert out.stat().st_mode & 0o777 == 0o644
+
     def test_missing_out_is_usage_error(self):
         proc = run_cli("synth")
         assert proc.returncode == 2
@@ -266,7 +293,7 @@ class TestLoocv:
         for jobs, out in (("1", "rep1"), ("2", "rep2")):
             run_cli(
                 "loocv", "--config", str(cfg), "--data", str(synth_dir / "data"),
-                "--model", "linear", "--out", str(tmp_path / out), "--jobs", jobs,
+                "--model", "mlp", "--out", str(tmp_path / out), "--jobs", jobs,
                 check=True,
             )
         assert read_tree(tmp_path / "rep1") == read_tree(tmp_path / "rep2")

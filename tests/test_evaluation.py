@@ -245,24 +245,6 @@ class TestRunLoocv:
             assert np.array_equal(scalings[k].mins, params.mins)
             assert np.array_equal(scalings[k].maxs, params.maxs)
 
-    def test_chunk_builds_every_fold_in_one_buffer(self, small_dataset, small_config, monkeypatch):
-        import gaitreg.evaluation as evaluation
-
-        seen = []
-        original = evaluation._fit_predict
-
-        def recording(model_spec, cfg, fold_idx, x_train, y_train, x_test):
-            seen.append((x_train, y_train))
-            return original(model_spec, cfg, fold_idx, x_train, y_train, x_test)
-
-        monkeypatch.setattr(evaluation, "_fit_predict", recording)
-        run_loocv(small_dataset, "mlp", small_config)
-        assert len(seen) == len(small_dataset)
-        first = seen[0]
-        for arrays in seen[1:]:
-            for array, buffer in zip(arrays, first):
-                assert np.shares_memory(array, buffer)
-
     def test_pool_workers_bounded_by_chunks(self, small_dataset, small_config, monkeypatch):
         import concurrent.futures
 
@@ -285,9 +267,9 @@ class TestRunLoocv:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         five = GaitDataset(small_dataset.trials[:5])
-        serial = _as_json(run_loocv(five, "linear", small_config))
+        serial = _as_json(run_loocv(five, "mlp", small_config))
         for jobs, chunks in ((64, 5), (3, 3), (2, 2)):
-            pooled = _as_json(run_loocv(five, "linear", small_config, jobs=jobs))
+            pooled = _as_json(run_loocv(five, "mlp", small_config, jobs=jobs))
             assert workers[-1] == chunks
             assert pooled == serial
         assert len(workers) == 3
@@ -299,7 +281,9 @@ class TestRunLoocv:
             "config = RunConfig.from_dict({'samples_per_trial': 48, 'trials_per_mode': "
             "{'NormalWalk': 2, 'StairAscent': 1, 'StairDescent': 1, 'SlopeAscent': 1, "
             "'SlopeDescent': 1}})\n"
-            "run_loocv(generate(config.synth_config()), 'linear', config, jobs=1)\n"
+            "dataset = generate(config.synth_config())\n"
+            "run_loocv(dataset, 'linear', config, jobs=1)\n"
+            "run_loocv(dataset, 'linear', config, jobs=2)\n"
             "print(sorted(m for m in sys.modules if m.startswith("
             "('concurrent.futures.process', 'multiprocessing'))))\n"
         )
@@ -308,13 +292,24 @@ class TestRunLoocv:
         )
         assert proc.stdout.strip() == "[]"
 
+    def test_linear_folds_never_start_a_pool(self, small_dataset, small_config, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a linear run built a ProcessPoolExecutor")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        serial = _as_json(run_loocv(small_dataset, "linear", small_config))
+        for jobs in (2, 64):
+            assert _as_json(run_loocv(small_dataset, "linear", small_config, jobs=jobs)) == serial
+
     def test_uneven_chunks_give_identical_reports(self, small_dataset, small_config, tmp_path):
         # 5 folds over 3 workers run as chunks of 2, 2 and 1
         five = GaitDataset(small_dataset.trials[:5])
         trees = {}
         for jobs in (1, 3):
             out = tmp_path / f"jobs{jobs}"
-            emit_report(run_loocv(five, "linear", small_config, jobs=jobs), out)
+            emit_report(run_loocv(five, "mlp", small_config, jobs=jobs), out)
             trees[jobs] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert trees[1] == trees[3]
 

@@ -5,12 +5,15 @@ perfbench/tracer.py replaces functions where their callers look them up
 ``gaitreg.evaluation``), and perfbench/worker.py calls some internals
 directly (its inner-loop probe times ``mlp.loss_and_gradient`` and
 ``mlp.sgd_step``).  A refactor that unbinds one of those names breaks the
-benchmark; these tests make it break the suite too.
+benchmark; these tests make it break the suite too, and so does a smoke
+run of the whole benchmark.
 """
 
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -107,3 +110,11 @@ def test_traced_loocv_spans_every_fold_scaling_fit(small_dataset, small_config):
     # one fit per fold and the pooled one, all made by run_loocv itself
     assert len(fits) == len(report.folds) + 1
     assert all(span[3] == loocv for span in fits)
+
+
+def test_benchmark_smoke_run_passes():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--smoke"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.stdout.splitlines()[-1] == "smoke: ok", proc.stdout[-2000:] + proc.stderr[-2000:]
