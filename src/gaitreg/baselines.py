@@ -29,6 +29,8 @@ update cap warns with a RuntimeWarning.
 fit_svr_baseline builds one dense n x n float64 kernel per fold and shares
 it between both targets; that array, n^2 * 8 bytes (190 MB for the 4,870
 training rows of a default fold), is the fit's only n x n allocation.
+Building it takes one more temporary, a 16-row block of 16 * n * 8 bytes
+(0.6 MB at the default scale).
 
 Least squares is one lstsq core behind two entry points: linear_fit on
 the rows, and linear_fit_factored on each block's [R | Q'y] from
@@ -53,7 +55,7 @@ DEFAULT_SVR_C = 10.0
 DEFAULT_SVR_EPSILON = 0.01
 DEFAULT_SVR_TOL = 1e-3
 DEFAULT_SVR_MAX_UPDATES = 100_000
-_KERNEL_BLOCK_ROWS = 128  # rows of the kernel's one block-sized temporary
+_KERNEL_BLOCK_ROWS = 16  # rows of the kernel's one block-sized temporary
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,8 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     in row blocks, which repeats the plain expression's operations in its
     order and so its bits.  The product is not split, because a blocked
     product is not bit-identical to the full one (numpy takes its
-    symmetric path when a is b).
+    symmetric path when a is b).  Beside the result, the build holds one
+    block of _KERNEL_BLOCK_ROWS (16) rows and the two row-norm vectors.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))

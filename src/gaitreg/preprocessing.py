@@ -24,6 +24,7 @@ and max are.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass
 from math import cos, pi, sin, tan
@@ -89,10 +90,26 @@ class ButterworthFilter:
         return filt
 
     def _validate(self):
+        """Raise ConfigError unless every section is stable and the DC gain is 1.
+
+        A section's poles are the roots of z^2 + a1 z + a2, and a real
+        quadratic has both roots strictly inside the unit circle iff
+        |a2| < 1 and |a1| < 1 + a2 (Jury, Theory and Application of the
+        z-Transform Method, 1964).  Checking these two inequalities needs
+        no root finder, so no design calls an eigen-solver (numpy's roots
+        solves its companion matrix with LAPACK's).  Stability is checked
+        first: a section with a pole at z = 1 has 1 + a1 + a2 = 0, which
+        the DC gain would divide by.  The closed-form roots are computed
+        only to report a rejected section.
+        """
         for i, (b0, b1, b2, a1, a2) in enumerate(self.sections):
-            poles = np.roots([1.0, a1, a2])
-            if np.any(np.abs(poles) >= 1.0):
-                raise ConfigError(f"section {i} is unstable: pole magnitudes {np.abs(poles)}")
+            if not (abs(a2) < 1.0 and abs(a1) < 1.0 + a2):
+                root = cmath.sqrt(a1 * a1 - 4.0 * a2)
+                mags = [abs((-a1 + root) / 2.0), abs((-a1 - root) / 2.0)]
+                raise ConfigError(
+                    f"section {i} is unstable: a1 {a1}, a2 {a2} fail |a2| < 1, "
+                    f"|a1| < 1 + a2 (pole magnitudes {mags})"
+                )
         dc = self.magnitude(0.0)
         if abs(dc - 1.0) > 1e-9:
             raise ConfigError(f"cascade DC gain {dc} deviates from 1")

@@ -364,6 +364,18 @@ class TestKernel:
         b = rng.normal(size=(257, 6))
         assert np.array_equal(rbf_kernel(a, b, 0.4), three_temporary_rbf_kernel(a, b, 0.4))
 
+    def test_build_holds_the_result_and_one_small_block(self):
+        n = 1500
+        x = np.random.default_rng(19).normal(size=(n, 6))
+        tracemalloc.start()
+        try:
+            rbf_kernel(x, x, 1.0 / 6.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # n x n result, a 16-row block and the two norm vectors fit; a 128-row block does not
+        assert peak < n * n * 8 + 32 * n * 8
+
 
 class TestStandardizedBaseline:
     def test_round_trip_scales(self):

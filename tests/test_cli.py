@@ -545,6 +545,18 @@ class TestFilterErrorsNameTheTrial:
             "for sample rate 10.0 Hz"
         ]
 
+    def test_pole_rounded_onto_z_1_exits_2_naming_trial_and_section(self, tmp_path):
+        # at 1e-7 Hz the design rounds a pole onto z = 1, where the DC gain divides by zero
+        data = write_trials(tmp_path / "data", [(t, 200.0, 48) for t in "abc"])
+        proc = run_cli(
+            "loocv", "--data", str(data), "--model", "linear", "--out", str(tmp_path / "rep"),
+            "--override", "cutoff_hz=1e-7",
+        )
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: trial 'a': section 0 is unstable: ")
+        assert not (tmp_path / "rep").exists()
+
     def test_trial_too_short_for_the_filter_exits_1_naming_it(self, tmp_path):
         specs = [("a", 200.0, 48), ("b", 200.0, 16), ("c", 200.0, 48)]
         data = write_trials(tmp_path / "data", specs)

@@ -303,6 +303,16 @@ class TestRunLoocv:
         for jobs in (2, 64):
             assert _as_json(run_loocv(small_dataset, "linear", small_config, jobs=jobs)) == serial
 
+    @pytest.mark.parametrize("model", ["mlp", "svr"])
+    def test_run_calls_no_eigen_solver(self, small_dataset, small_config, monkeypatch, model):
+        def eigen_solver(*args, **kwargs):
+            raise AssertionError("eigen-solver called")
+
+        monkeypatch.setattr(np, "roots", eigen_solver)
+        monkeypatch.setattr(np.linalg, "eigvals", eigen_solver)
+        report = run_loocv(GaitDataset(small_dataset.trials[:2]), model, small_config)
+        assert len(report.folds) == 2
+
     def test_uneven_chunks_give_identical_reports(self, small_dataset, small_config, tmp_path):
         # 5 folds over 3 workers run as chunks of 2, 2 and 1
         five = GaitDataset(small_dataset.trials[:5])

@@ -92,6 +92,27 @@ def test_fast_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_calls_no_eigen_solver():
+    # numpy's roots solves a companion matrix with LAPACK's eigen-solver,
+    # whose workspace a filter design at import would keep for the whole run
+    code = (
+        "import numpy\n"
+        "def eigen_solver(*args, **kwargs):\n"
+        "    raise AssertionError('eigen-solver called')\n"
+        "numpy.roots = numpy.linalg.eigvals = eigen_solver\n"
+        "import gaitreg\n"
+    )
+    src = str(Path(gaitreg.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_every_flag_the_readme_shows_is_accepted():
     # every --flag inside backticks, inline or fenced, so README cannot advertise a removed flag
     spans = re.findall(r"`([^`]*)`", (ROOT / "README.md").read_text(encoding="utf-8"))

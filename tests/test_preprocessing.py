@@ -3,7 +3,7 @@ from math import pi
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import (
@@ -105,6 +105,69 @@ class TestFilterDesign:
     def test_cutoff_above_nyquist_rejected(self):
         with pytest.raises(ConfigError, match="cutoff"):
             ButterworthFilter.design(120.0, FS, 4)
+
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_extreme_cutoffs_design_or_raise_config_error(self, order):
+        # a pole rounded onto z = 1 zeroes the DC gain's denominator, so stability goes first
+        cutoffs = np.concatenate(
+            [np.geomspace(1e-14, FS / 4, 200), FS / 2 - np.geomspace(1e-13, FS / 4, 200)]
+        )
+        for cutoff in cutoffs:
+            try:
+                filt = ButterworthFilter.design(float(cutoff), FS, order)
+            except ConfigError:
+                continue
+            assert abs(filt.magnitude(0.0) - 1.0) <= 1e-9
+
+
+def section_filter(*sections):
+    """A hand-built cascade; each (a1, a2) gets b0 = 1 + a1 + a2, so its DC gain is 1."""
+    return ButterworthFilter(
+        2 * len(sections), 6.0, FS, tuple((1.0 + a1 + a2, 0.0, 0.0, a1, a2) for a1, a2 in sections)
+    )
+
+
+class TestStabilityCheck:
+    @settings(max_examples=300)
+    @given(a1=st.floats(-3.0, 3.0), a2=st.floats(-2.0, 2.0))
+    def test_verdict_matches_the_roots(self, a1, a2):
+        magnitudes = np.abs(np.roots([1.0, a1, a2]))
+        assume(np.all(np.abs(magnitudes - 1.0) >= 1e-9))
+        filt = section_filter((a1, a2))
+        if np.all(magnitudes < 1.0):
+            filt._validate()
+        else:
+            with pytest.raises(ConfigError, match="section 0 is unstable"):
+                filt._validate()
+
+    @pytest.mark.parametrize(
+        "a1, a2",
+        [
+            # a2 = 1: a conjugate pair on the circle; a2 = -1: poles at +-1 when a1 = 0
+            (0.0, 1.0), (1.5, 1.0), (-1.5, 1.0), (0.0, -1.0),
+            # a1 = +-(1 + a2): a pole at z = -1 or z = 1
+            (0.5, -0.5), (-0.5, -0.5), (1.0, 0.0), (-1.0, 0.0), (1.5, 0.5), (-1.5, 0.5),
+        ],
+    )
+    def test_poles_on_the_circle_are_rejected(self, a1, a2):
+        with pytest.raises(ConfigError, match="section 0 is unstable"):
+            section_filter((a1, a2))._validate()
+
+    def test_unstable_cascade_names_its_section(self, filt):
+        a1, a2 = filt.sections[0][3:]
+        cascade = section_filter((a1, a2), (a1, a2), (-0.5, 1.5))
+        with pytest.raises(ConfigError, match=r"section 2 is unstable: .*1\.2247"):
+            cascade._validate()
+
+    @pytest.mark.parametrize("rate", [100.0, 200.0, 1000.0])
+    def test_design_calls_no_eigen_solver(self, monkeypatch, rate):
+        def eigen_solver(*args, **kwargs):
+            raise AssertionError("eigen-solver called")
+
+        monkeypatch.setattr(np, "roots", eigen_solver)
+        monkeypatch.setattr(np.linalg, "eigvals", eigen_solver)
+        for order in range(1, 11):
+            ButterworthFilter.design(6.0, rate, order)
 
 
 class TestZeroPhaseFilter:
