@@ -408,7 +408,9 @@ def predict_svr_baseline(baseline: SvrBaseline, x: np.ndarray) -> np.ndarray:
 
 
 def grid_search_svr(
-    blocks: Sequence[tuple[np.ndarray, np.ndarray]],
+    x: np.ndarray,
+    y: np.ndarray,
+    bounds: Sequence[int],
     grid_c: Sequence[float],
     grid_epsilon: Sequence[float],
     grid_gamma: Sequence[float],
@@ -418,37 +420,31 @@ def grid_search_svr(
 ) -> tuple[tuple[float, float, float], int, int]:
     """Pick (C, epsilon, gamma) by mean validation RMSE over trial-level folds.
 
-    blocks holds one already-scaled (inputs, targets) pair per trial.
-    Trial t goes to fold t % n_folds; the score of a triple is the RMSE
-    over all validation rows and both targets, averaged across folds.  Ties
-    keep the lexicographically smallest triple because the grid is scanned
-    in sorted order.  Returns (best triple, fits, capped fits): fits counts
+    x and y are every trial's already-scaled inputs and targets, stacked;
+    trial t owns rows bounds[t] to bounds[t + 1] (preprocessing.feature_rows).
+    Trial t goes to fold t % n_folds, and one row mask picks each fold's
+    rows, in stack order.  The score of a triple is the RMSE over all
+    validation rows and both targets, averaged across folds.  Ties keep
+    the lexicographically smallest triple because the grid is scanned in
+    sorted order.  Returns (best triple, fits, capped fits): fits counts
     every single-target SMO fit, capped fits those that stopped at
     max_updates before reaching tol and were scored anyway.
     """
     if not (len(grid_c) and len(grid_epsilon) and len(grid_gamma)):
         raise ConfigError("hyperparameter grid must be non-empty")
-    n_folds = min(n_folds, len(blocks))
+    trials = len(bounds) - 1
+    n_folds = min(n_folds, trials)
     if n_folds < 2:
         raise ConfigError(f"grid search needs >= 2 folds, got {n_folds}")
-
-    def stack(fold_blocks):
-        return tuple(np.concatenate(col) for col in zip(*fold_blocks))
-
-    folds = [
-        (
-            stack([b for t, b in enumerate(blocks) if t % n_folds != k]),
-            stack(blocks[k::n_folds]),
-        )
-        for k in range(n_folds)
-    ]
+    fold = np.repeat(np.arange(trials) % n_folds, np.diff(bounds))  # each row's grid fold
+    folds = [(x[fold != k], y[fold != k], x[fold == k], y[fold == k]) for k in range(n_folds)]
 
     best = None
     best_score = np.inf
     fits = capped = 0
     for c, eps, gamma in sorted(product(grid_c, grid_epsilon, grid_gamma)):
         scores = []
-        for (x_train, y_train), (x_val, y_val) in folds:
+        for x_train, y_train, x_val, y_val in folds:
             fit = fit_svr_baseline(x_train, y_train, c, eps, gamma, tol, max_updates)
             fits += len(fit.models)
             capped += sum(not m.converged for m in fit.models)

@@ -85,13 +85,13 @@ def _cmd_compare(args) -> int:
     refuse_foreign_entries(out_dir, [*MODEL_SPECS, "comparison.csv"])
     for spec in MODEL_SPECS:
         refuse_foreign_entries(out_dir / spec, report_file_names(dataset.counts_by_mode()))
-    merged = ["model,mode,target,r2_mean,r2_sd,rmse_mean,rmse_sd"]
+    merged = []
     for spec in MODEL_SPECS:
         report = run_loocv(dataset, spec, config, jobs=args.jobs)
         emit_report(report, out_dir / spec)
-        for line in summary_csv_text(report).splitlines()[1:]:
-            merged.append(f"{spec},{line}")
-    atomic_write_text(out_dir / "comparison.csv", "\n".join(merged) + "\n")
+        header, *rows = summary_csv_text(report).splitlines()
+        merged += [f"{spec},{row}" for row in rows]
+    atomic_write_text(out_dir / "comparison.csv", "\n".join([f"model,{header}", *merged]) + "\n")
     print(f"compared {list(MODEL_SPECS)} over {len(dataset)} folds; table in {out_dir}")
     return 0
 

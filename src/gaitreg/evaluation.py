@@ -10,6 +10,7 @@ grid before averaging across trials.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -29,13 +30,7 @@ from .data import MODES, GaitDataset
 from .errors import ConfigError, MetricError, PipelineError
 from .ioutil import atomic_write_text, refuse_foreign_entries
 from .mlp import forward, init, train
-from .preprocessing import (
-    ButterworthFilter,
-    apply_normalization,
-    feature_rows,
-    fit_normalization,
-    scaling_matrix,
-)
+from .preprocessing import apply_normalization, feature_rows, fit_normalization, scaling_matrix
 # not called here; bound so perfbench/tracer.py can patch them by name
 from .baselines import linear_fit  # noqa: F401
 from .data import loo_splits  # noqa: F401
@@ -57,8 +52,9 @@ def r2_score(y: np.ndarray, y_pred: np.ndarray) -> float:
     if len(y) != len(y_pred) or len(y) < 2:
         raise MetricError(f"need two equal-length sequences of >= 2 values, got {len(y)}")
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    # a filtered constant keeps rounding noise, so zero is judged on y's scale
-    if ss_tot <= len(y) * (1e-10 * float(np.abs(y).max())) ** 2:
+    # a filtered constant keeps rounding noise, so zero is judged on y's (unsquared) scale
+    scale = float(np.abs(y).max())
+    if ss_tot == 0.0 or ss_tot / scale / scale <= len(y) * 1e-20:
         raise MetricError("R^2 is undefined for a constant target sequence")
     return 1.0 - float(np.sum((y - y_pred) ** 2)) / ss_tot
 
@@ -69,6 +65,17 @@ def rmse(y: np.ndarray, y_pred: np.ndarray) -> float:
     if len(y) != len(y_pred) or len(y) < 1:
         raise MetricError(f"need two equal-length non-empty sequences, got {len(y)}")
     return float(np.sqrt(np.mean((y - y_pred) ** 2)))
+
+
+def _scores(y: np.ndarray, y_pred: np.ndarray) -> tuple[dict[str, float], dict[str, float]]:
+    """(r2, rmse) of each target column; a non-finite one is a MetricError naming it."""
+    r2, err = ({k: metric(y[:, t], y_pred[:, t]) for t, k in enumerate(TARGET_KEYS)}
+               for metric in (r2_score, rmse))
+    for name, scores in (("r2", r2), ("rmse", err)):
+        for key, value in scores.items():
+            if not math.isfinite(value):
+                raise MetricError(f"{name} of target {key} is {value}")
+    return r2, err
 
 
 @dataclass
@@ -85,11 +92,12 @@ class FoldResult:
 
 def phase_mae_curve(
     folds: Sequence[FoldResult], n_bins: int = 101
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(grid, mae, se): per-bin mean |error| across trials with standard error.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(mae, se): per-bin mean |error| across trials with standard error.
 
     Each fold's |error| sequence, its samples evenly spread over 0..100%
-    phase, is linearly resampled onto n_bins points; mae and se have shape
+    phase, is linearly resampled onto n_bins points spread the same way
+    (emit_report plots them on that grid); mae and se have shape
     (n_bins, 2) for the two targets.  With a single trial the standard
     error is zero.
     """
@@ -105,11 +113,8 @@ def phase_mae_curve(
         )
     stack = np.stack(per_trial)  # (n_trials, n_bins, 2)
     mae = stack.mean(axis=0)
-    if len(folds) > 1:
-        se = stack.std(axis=0, ddof=1) / np.sqrt(len(folds))
-    else:
-        se = np.zeros_like(mae)
-    return grid, mae, se
+    se = stack.std(axis=0, ddof=1) / np.sqrt(len(folds)) if len(folds) > 1 else np.zeros_like(mae)
+    return mae, se
 
 
 @dataclass
@@ -169,8 +174,7 @@ def _run_chunk(payload, indices: Sequence[int]) -> list[FoldResult]:
                 y_train = np.concatenate([y_all[:start], y_all[end:]])
                 apply_normalization(x_train, params, out=x_train)
                 y_pred = _fit_predict(model_spec, config, fold_idx, x_train, y_train, x_test)
-            r2 = {k: r2_score(y_test[:, t], y_pred[:, t]) for t, k in enumerate(TARGET_KEYS)}
-            err = {k: rmse(y_test[:, t], y_pred[:, t]) for t, k in enumerate(TARGET_KEYS)}
+            r2, err = _scores(y_test, y_pred)
         except PipelineError as exc:
             raise type(exc)(f"fold {fold_idx} (held-out {trial_id!r}): {exc}") from None
         folds.append(
@@ -193,8 +197,9 @@ def run_loocv(
     """Train/evaluate one model spec across every leave-one-out fold.
 
     Every trial is filtered and differentiated in one batched pass
-    (feature_rows), which returns the unscaled rows of all trials already
-    stacked, with the trial boundaries; the folds read those arrays.  Each
+    (feature_rows, which designs the config's low-pass for each sample
+    rate), which returns the unscaled rows of all trials already stacked,
+    with the trial boundaries; the folds read those arrays.  Each
     fold gets one record, (trial_id, mode, start, end, params): the
     held-out trial and its row span, and the min-max scaling that
     fit_normalization fits here on the training trials only (on all trials
@@ -210,10 +215,11 @@ def run_loocv(
     rows in the last places only.  Linear folds all run in this process,
     at any jobs; MLP and SVR folds run in contiguous chunks, one per
     worker (all of them in one chunk at jobs=1).  The optional SVR grid
-    search runs before LOO on the same per-trial rows under the pooled
-    scaling, so every held-out trial influences the chosen
-    hyperparameters; report.json then records its fit counts.  Results
-    are deterministic for fixed seeds and independent of the job count.
+    search runs before LOO on the same stacked rows and boundaries under
+    the pooled scaling, so every held-out trial influences the chosen
+    hyperparameters; report.json then records its fit counts.  A
+    non-finite fold or pooled metric is a MetricError.  Results are
+    deterministic for fixed seeds and independent of the job count.
     """
     if model_spec not in MODEL_SPECS:
         raise ConfigError(f"unknown model spec {model_spec!r}; choose from {MODEL_SPECS}")
@@ -221,16 +227,9 @@ def run_loocv(
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if len(dataset) < 2:
         raise ConfigError(f"leave-one-out needs at least 2 trials, got {len(dataset)}")
-    # RunConfig checked the order and cutoff, so a design can fail only on a rate;
-    # feature_rows redesigns this filter for every other rate, naming its first trial
-    first = dataset.trials[0]
-    try:
-        base_filter = ButterworthFilter.design(
-            config.cutoff_hz, first.sample_rate_hz, config.filter_order
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"trial {first.trial_id!r}: {exc}") from None
-    x_all, y_all, bounds = feature_rows(dataset, base_filter, config.filter_targets)
+    x_all, y_all, bounds = feature_rows(
+        dataset, config.cutoff_hz, config.filter_order, config.filter_targets
+    )
     spans = list(zip(bounds, bounds[1:]))
     mins = np.minimum.reduceat(x_all, bounds[:-1])
     maxs = np.maximum.reduceat(x_all, bounds[:-1])
@@ -238,7 +237,9 @@ def run_loocv(
     svr_grid = None
     if model_spec == "svr" and config.svr_grid_c is not None:
         (c, epsilon, gamma), fits, capped = grid_search_svr(
-            [(apply_normalization(x_all[a:b], pooled_params), y_all[a:b]) for a, b in spans],
+            apply_normalization(x_all, pooled_params),
+            y_all,
+            bounds,
             config.svr_grid_c,
             config.svr_grid_epsilon,
             config.svr_grid_gamma,
@@ -285,7 +286,7 @@ def run_loocv(
         mode_folds = sorted((f for f in folds if f.mode == mode), key=lambda f: f.trial_id)
         if not mode_folds:
             continue
-        _, mae, se = phase_mae_curve(mode_folds, config.phase_bins)
+        mae, se = phase_mae_curve(mode_folds, config.phase_bins)
         r2s = {k: np.array([f.r2[k] for f in mode_folds]) for k in TARGET_KEYS}
         rmses = {k: np.array([f.rmse[k] for f in mode_folds]) for k in TARGET_KEYS}
         modes[mode] = {
@@ -304,16 +305,16 @@ def run_loocv(
 
     y_true_all = np.concatenate([f.y_true for f in folds])
     y_pred_all = np.concatenate([f.y_pred for f in folds])
-    pooled = {
-        "r2": {k: r2_score(y_true_all[:, t], y_pred_all[:, t]) for t, k in enumerate(TARGET_KEYS)},
-        "rmse": {k: rmse(y_true_all[:, t], y_pred_all[:, t]) for t, k in enumerate(TARGET_KEYS)},
-    }
+    try:
+        r2, err = _scores(y_true_all, y_pred_all)
+    except MetricError as exc:
+        raise MetricError(f"pooled over every fold: {exc}") from None
     return EvalReport(
         config=config.to_dict(),
         model_spec=model_spec,
         folds=folds,
         modes=modes,
-        pooled=pooled,
+        pooled={"r2": r2, "rmse": err},
         pooled_rows=dataset.total_rows(),
         missing_modes=[m for m in MODES if m not in modes],
         svr_grid=svr_grid,
@@ -364,7 +365,7 @@ def emit_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
     written = [
         atomic_write_text(
             out_dir / "report.json",
-            json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
+            json.dumps(report_to_dict(report), indent=2, sort_keys=True, allow_nan=False) + "\n",
         ),
         atomic_write_text(out_dir / "summary.csv", summary_csv_text(report)),
     ]

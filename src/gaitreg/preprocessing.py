@@ -12,8 +12,9 @@ All zero-phase filtering goes through one batched core: every signal that
 shares a sample rate is reflect-padded into a column of one matrix, and
 the recurrence steps down all columns a row at a time, so a whole dataset
 costs one Python-level loop per pass instead of one per signal, with the
-same bits as filtering each signal alone.  feature_rows builds every
-trial's unscaled rows this way into one stack and differentiates the
+same bits as filtering each signal alone.  feature_rows designs the
+low-pass once per sample rate from a cutoff and an order, builds every
+trial's unscaled rows this way into one stack, and differentiates the
 filtered angles of all trials in one pass over it (np.gradient's central
 differences, one-sided at each trial's ends).  It is the one place input
 rows are built: run_loocv, trial_features, build_features and synth's
@@ -24,7 +25,6 @@ and max are.
 
 from __future__ import annotations
 
-import cmath
 import warnings
 from dataclasses import dataclass
 from math import cos, pi, sin, tan
@@ -93,31 +93,25 @@ class ButterworthFilter:
         """Raise ConfigError unless every section is stable and the DC gain is 1.
 
         A section's poles are the roots of z^2 + a1 z + a2, and a real
-        quadratic has both roots strictly inside the unit circle iff
-        |a2| < 1 and |a1| < 1 + a2 (Jury, Theory and Application of the
-        z-Transform Method, 1964).  Checking these two inequalities needs
-        no root finder, so no design calls an eigen-solver (numpy's roots
-        solves its companion matrix with LAPACK's).  Stability is checked
+        quadratic has both roots strictly inside the unit circle iff the
+        Jury margins 1 - |a2| and 1 + a2 - |a1| are both positive (Jury,
+        Theory and Application of the z-Transform Method, 1964).  Checking
+        them needs no root finder, so no design calls an eigen-solver
+        (numpy's roots solves its companion matrix with LAPACK's), and a
+        rejected section is reported by its margins.  Stability is checked
         first: a section with a pole at z = 1 has 1 + a1 + a2 = 0, which
-        the DC gain would divide by.  The closed-form roots are computed
-        only to report a rejected section.
+        the DC gain would divide by.
         """
         for i, (b0, b1, b2, a1, a2) in enumerate(self.sections):
-            if not (abs(a2) < 1.0 and abs(a1) < 1.0 + a2):
-                root = cmath.sqrt(a1 * a1 - 4.0 * a2)
-                mags = [abs((-a1 + root) / 2.0), abs((-a1 - root) / 2.0)]
+            margins = (1.0 - abs(a2), 1.0 + a2 - abs(a1))
+            if min(margins) <= 0.0:
                 raise ConfigError(
-                    f"section {i} is unstable: a1 {a1}, a2 {a2} fail |a2| < 1, "
-                    f"|a1| < 1 + a2 (pole magnitudes {mags})"
+                    f"section {i} is unstable: a1 {a1}, a2 {a2} give Jury margins 1 - |a2| = "
+                    f"{margins[0]} and 1 + a2 - |a1| = {margins[1]}; both must be > 0"
                 )
         dc = self.magnitude(0.0)
         if abs(dc - 1.0) > 1e-9:
             raise ConfigError(f"cascade DC gain {dc} deviates from 1")
-
-    def with_sample_rate(self, sample_rate_hz: float) -> "ButterworthFilter":
-        if sample_rate_hz == self.sample_rate_hz:
-            return self
-        return ButterworthFilter.design(self.cutoff_hz, sample_rate_hz, self.order)
 
     def magnitude(self, freq_hz: float) -> float:
         """Single-pass |H| of the cascade at a digital frequency."""
@@ -155,7 +149,8 @@ def _sosfilt_rows(sections, x: np.ndarray) -> np.ndarray:
 def _zero_phase(signals, filt: ButterworthFilter, width: int = 1) -> np.ndarray:
     """lowpass_zero_phase of every signal, in one batched pass per direction.
 
-    signals come in runs of width equal-length signals; the result stacks
+    signals come in runs of width equal-length signals (one trial's
+    columns, which GaitTrial makes equal in length); the result stacks
     each run's filtered samples as rows of width columns, so it has shape
     (total run length, width).  The reflect-padded signals become the
     columns of one left-aligned (L, m) matrix, gathered from their
@@ -166,17 +161,13 @@ def _zero_phase(signals, filt: ButterworthFilter, width: int = 1) -> np.ndarray:
     """
     pad = 3 * filt.order
     xs = []
-    for i, signal in enumerate(signals):
+    for signal in signals:
         x = np.asarray(signal, dtype=np.float64)
         if x.ndim != 1:
             raise PreprocessError(f"signal must be 1-D, got shape {x.shape}")
         if len(x) < pad:
             raise PreprocessError(
                 f"signal of length {len(x)} too short to filter; need >= {pad} (3 x order)"
-            )
-        if i % width and len(x) != len(xs[-1]):
-            raise PreprocessError(
-                f"signals filtered as one block need equal lengths, got {len(xs[-1])} and {len(x)}"
             )
         xs.append(x)
     n = np.array([len(x) for x in xs])
@@ -334,19 +325,19 @@ def spectral_energy_fraction(
 
 
 def feature_rows(
-    trials: Iterable[GaitTrial], filt: ButterworthFilter, filter_targets: bool = True
+    trials: Iterable[GaitTrial], cutoff_hz: float, order: int, filter_targets: bool = True
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """(inputs, targets, bounds): every trial's unnormalized rows, stacked in the order given.
 
     inputs is (n, 6) and targets (n, 2); trial i owns rows bounds[i] to
-    bounds[i + 1].  Trials sharing a sample rate are filtered together in
-    one batched zero-phase pass, with filt redesigned once per rate, and
-    the filtered angles of all trials are differentiated in one pass.  A
-    trial too short for filt's padding, or the first trial at a rate too
-    slow for its cutoff, is named in the error.
+    bounds[i + 1].  The low-pass is designed here, once per sample rate,
+    and the trials sharing a rate are filtered together in one batched
+    zero-phase pass; the filtered angles of all trials are then
+    differentiated in one pass.  A trial too short for the filter's
+    padding, or the first trial at a rate the design refuses, is named.
     """
     trials = list(trials)
-    pad = 3 * filt.order
+    pad = 3 * order
     short = next((t for t in trials if t.n_samples < pad), None)
     if short is not None:
         raise PreprocessError(
@@ -361,13 +352,13 @@ def feature_rows(
     for rate in dict.fromkeys(t.sample_rate_hz for t in trials):
         group = [t for t in trials if t.sample_rate_hz == rate]
         try:
-            rate_filt = filt.with_sample_rate(rate)
+            filt = ButterworthFilter.design(cutoff_hz, rate, order)
         except ConfigError as exc:
             raise ConfigError(f"trial {group[0].trial_id!r}: {exc}") from None
         signals = []
         for t in group:
             signals += [t.theta_hip, t.theta_knee, t.theta_ankle, t.tau_ankle][:width]
-        filtered[rates == rate] = _zero_phase(signals, rate_filt, width)
+        filtered[rates == rate] = _zero_phase(signals, filt, width)
     # [theta, dtheta, ddtheta] per joint, each trial differentiated on its own
     inputs = np.empty((bounds[-1], 6))
     inputs[:, 0::3] = filtered[:, :2]
@@ -387,8 +378,8 @@ def feature_rows(
 def trial_features(
     trial: GaitTrial, filt: ButterworthFilter, filter_targets: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized (inputs, targets) for a single trial: feature_rows of [trial]."""
-    inputs, targets, _ = feature_rows([trial], filt, filter_targets)
+    """Unnormalized (inputs, targets) of one trial: feature_rows at filt's cutoff and order."""
+    inputs, targets, _ = feature_rows([trial], filt.cutoff_hz, filt.order, filter_targets)
     return inputs, targets
 
 
@@ -397,10 +388,11 @@ def build_features(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(inputs, targets) of every trial's feature_rows, stacked in dataset order.
 
+    filt gives the cutoff and order; each sample rate gets its own design.
     inputs is the (n, 6) matrix min-max scaled over these rows; targets,
     (n, 2) [theta_ankle_deg, tau_ankle_Nm], are never scaled.  run_loocv
     works on the unscaled stack directly and fits the scaling per fold;
     this whole-dataset view serves library callers and demos.
     """
-    inputs, targets, _ = feature_rows(dataset, filt, filter_targets)
+    inputs, targets, _ = feature_rows(dataset, filt.cutoff_hz, filt.order, filter_targets)
     return apply_normalization(inputs, fit_normalization(inputs)), targets

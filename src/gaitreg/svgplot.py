@@ -36,11 +36,6 @@ def _points(xs: list[float], ys: list[float]) -> list[str]:
     return [f"{a:.2f},{b:.2f}" for a, b in zip(xs, ys)]
 
 
-def _tick_label(v: float) -> str:
-    text = f"{v:.4g}"
-    return text
-
-
 def band_plot_svg(
     x: np.ndarray,
     mean: np.ndarray,
@@ -48,9 +43,9 @@ def band_plot_svg(
     title: str,
     x_label: str,
     y_label: str,
-    divider_x: float | None = 60.0,
+    divider_x: float,
 ) -> str:
-    """Line plot of mean with a +-half_band shaded region and a divider."""
+    """Line plot of mean with a +-half_band shaded region and a divider at divider_x."""
     x = np.asarray(x, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
     half_band = np.asarray(half_band, dtype=np.float64)
@@ -81,14 +76,14 @@ def band_plot_svg(
         )
         parts.append(
             f'<text x="{_fmt(_LEFT - 6)}" y="{_fmt(py(v) + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(v)}</text>'
+            f'font-family="sans-serif" font-size="11">{v:.4g}</text>'
         )
     for v in np.linspace(x_lo, x_hi, 6):
         parts.append(
             f'<text x="{_fmt(px(v))}" y="{_fmt(_HEIGHT - _BOTTOM + 16)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(v)}</text>'
+            f'font-family="sans-serif" font-size="11">{v:.4g}</text>'
         )
-    if divider_x is not None and x_lo < divider_x < x_hi:
+    if x_lo < divider_x < x_hi:
         parts.append(
             f'<line x1="{_fmt(px(divider_x))}" y1="{_fmt(py(y_hi))}" '
             f'x2="{_fmt(px(divider_x))}" y2="{_fmt(py(y_lo))}" '

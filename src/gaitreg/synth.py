@@ -21,8 +21,9 @@ six pipeline features (filtered angles and their numerical derivatives,
 default filter: order 4, 6 Hz cutoff), so an exact least-squares fit can
 recover them to machine precision on noise-free data.  generate builds
 every noise-free trial first and reads their features from one
-feature_rows pass, the pipeline's own; ground_truth runs the same map on
-its one trial, with the same bits.  The noise is drawn after the targets.
+feature_rows pass, the pipeline's own, which designs that filter for the
+synthetic sample rate; ground_truth runs the same map on its one trial,
+with the same bits.  The noise is drawn after the targets.
 """
 
 from __future__ import annotations
@@ -35,12 +36,7 @@ import numpy as np
 from .data import MIN_TRIAL_SAMPLES, MODES, GaitDataset, GaitTrial, write_trial_csv
 from .errors import ConfigError, PipelineError
 from .ioutil import refuse_non_directory
-from .preprocessing import (
-    DEFAULT_CUTOFF_HZ,
-    DEFAULT_FILTER_ORDER,
-    ButterworthFilter,
-    feature_rows,
-)
+from .preprocessing import DEFAULT_CUTOFF_HZ, DEFAULT_FILTER_ORDER, feature_rows
 from .rng import SplitMix64, derive_seed
 
 SYNTH_SAMPLE_RATE_HZ = 200.0
@@ -175,11 +171,6 @@ def _state_map(c, uh, uk, vh, vk, w_hip, w_knee):
     )
 
 
-_LINEAR_FILTER = ButterworthFilter.design(
-    DEFAULT_CUTOFF_HZ, SYNTH_SAMPLE_RATE_HZ, DEFAULT_FILTER_ORDER
-)
-
-
 def _trial(config: SynthConfig, mode: str, index: int) -> tuple[GaitTrial, SplitMix64]:
     """One trial before noise, with the analytic targets, and its stream.
 
@@ -206,7 +197,9 @@ def _trial(config: SynthConfig, mode: str, index: int) -> tuple[GaitTrial, Split
 
 def _linear_targets(trials: list[GaitTrial]) -> list[GaitTrial]:
     """The trials with both targets replaced by the linear_mode map of their feature_rows."""
-    inputs, _, bounds = feature_rows(trials, _LINEAR_FILTER, filter_targets=False)
+    inputs, _, bounds = feature_rows(
+        trials, DEFAULT_CUTOFF_HZ, DEFAULT_FILTER_ORDER, filter_targets=False
+    )
     mapped = []
     for trial, start, end in zip(trials, bounds, bounds[1:]):
         theta_ankle, tau_ankle = (inputs[start:end] @ LINEAR_WEIGHTS.T + LINEAR_INTERCEPT).T

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from oracles import brute_force_svr_dual, masked_scan_smo, rbf, three_temporary_
 import gaitreg.baselines as baselines
 from gaitreg import (
     ButterworthFilter,
+    RunConfig,
     SynthConfig,
     generate,
     linear_fit,
@@ -27,6 +29,7 @@ from gaitreg.baselines import (
     predict_svr_baseline,
     rbf_kernel,
 )
+from gaitreg.data import MODES
 from gaitreg.errors import ConfigError, TrainError
 from gaitreg.preprocessing import (
     apply_normalization,
@@ -142,6 +145,26 @@ class TestLinearFitFactored:
             linear_fit_factored(factors, len(x), np.eye(7))
 
 
+def random_rows(n, d, copies):
+    """n random (x, y) rows in d dimensions, the whole block repeated copies times."""
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(n, d))
+    y = np.sin(x.sum(axis=1)) + 0.3 * rng.normal(size=n)
+    return np.tile(x, (copies, 1)), np.tile(y, copies)
+
+
+def loo_svr_fold0_tau():
+    """Fold 0 of 1 trial per mode at seed 1: scaled inputs and standardized tau (489 rows)."""
+    config = RunConfig(seed=1, trials_per_mode={mode: 1 for mode in MODES})
+    dataset = generate(config.synth_config())
+    x, y, bounds = feature_rows(
+        dataset, config.cutoff_hz, config.filter_order, config.filter_targets
+    )
+    x = x[bounds[1] :]
+    tau = y[bounds[1] :, 1].copy()
+    return apply_normalization(x, fit_normalization(x)), (tau - tau.mean()) / tau.std()
+
+
 class TestSvrFit:
     def test_single_point_within_tube(self):
         model = svr_fit(np.array([[0.3, 0.7]]), np.array([1.5]), c=5.0, epsilon=0.2, gamma=1.0)
@@ -245,16 +268,19 @@ class TestSvrFit:
                 assert abs(e - epsilon) <= slack
 
     @pytest.mark.parametrize(
-        "n, d, copies, params",
+        "rows, params",
         [
-            (40, 2, 1, dict(c=10.0, epsilon=0.05, gamma=0.5)),
-            (90, 4, 1, dict(c=0.5, epsilon=0.05, gamma=0.25)),
-            (150, 6, 1, dict(c=3.0, epsilon=0.05, gamma=1.0 / 6.0)),
-            (20, 3, 3, dict(c=2.0, epsilon=0.1, gamma=0.5)),  # equal rows: ties in c0
-            (50, 3, 1, dict(c=100.0, epsilon=0.0, gamma=2.0, max_updates=5)),
-            (50, 3, 1, dict(c=10.0, epsilon=0.0, gamma=0.5)),
-            (50, 3, 1, dict(c=10.0, epsilon=10.0, gamma=0.5)),  # no update
-            (1, 3, 1, dict(c=5.0, epsilon=0.2, gamma=1.0)),
+            (partial(random_rows, 40, 2, 1), dict(c=10.0, epsilon=0.05, gamma=0.5)),
+            (partial(random_rows, 90, 4, 1), dict(c=0.5, epsilon=0.05, gamma=0.25)),
+            (partial(random_rows, 150, 6, 1), dict(c=3.0, epsilon=0.05, gamma=1.0 / 6.0)),
+            # equal rows: ties in c0
+            (partial(random_rows, 20, 3, 3), dict(c=2.0, epsilon=0.1, gamma=0.5)),
+            (partial(random_rows, 50, 3, 1), dict(c=100.0, epsilon=0.0, gamma=2.0, max_updates=5)),
+            (partial(random_rows, 50, 3, 1), dict(c=10.0, epsilon=0.0, gamma=0.5)),
+            (partial(random_rows, 50, 3, 1), dict(c=10.0, epsilon=10.0, gamma=0.5)),  # no update
+            (partial(random_rows, 1, 3, 1), dict(c=5.0, epsilon=0.2, gamma=1.0)),
+            # real rows, where folding +-eps into the up-set penalties changes the path
+            (loo_svr_fold0_tau, dict(c=10.0, epsilon=0.01, gamma=1.0 / 6.0)),
         ],
         ids=[
             "random-a",
@@ -265,13 +291,11 @@ class TestSvrFit:
             "epsilon-zero",
             "wide-tube",
             "single-row",
+            "loo_svr-fold0-tau",
         ],
     )
-    def test_bit_identical_to_masked_scan_reference(self, n, d, copies, params):
-        rng = np.random.default_rng(21)
-        x = rng.normal(size=(n, d))
-        y = np.sin(x.sum(axis=1)) + 0.3 * rng.normal(size=n)
-        x, y = np.tile(x, (copies, 1)), np.tile(y, copies)
+    def test_bit_identical_to_masked_scan_reference(self, rows, params):
+        x, y = rows()
         params = {"tol": 1e-3, "max_updates": 100_000, **params}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the capped case warns
@@ -288,12 +312,12 @@ class TestDefaultScale:
     @pytest.fixture(scope="class")
     def fold0(default_config, default_dataset):
         """Default fold 0's scaled inputs and standardized targets (trials 1-40)."""
-        filt = ButterworthFilter.design(
+        x, y, bounds = feature_rows(
+            default_dataset,
             default_config.cutoff_hz,
-            default_dataset.trials[0].sample_rate_hz,
             default_config.filter_order,
+            default_config.filter_targets,
         )
-        x, y, bounds = feature_rows(default_dataset, filt, default_config.filter_targets)
         # fold 0: every trial but the first
         x, y = x[bounds[1] :], y[bounds[1] :]
         x = apply_normalization(x, fit_normalization(x))
@@ -345,12 +369,12 @@ class TestKernel:
 
     def test_in_place_build_is_bit_identical_on_fold_rows(self, small_config, small_dataset):
         # one operand for both sides, as in training: numpy's symmetric product
-        filt = ButterworthFilter.design(
+        x, _, bounds = feature_rows(
+            small_dataset,
             small_config.cutoff_hz,
-            small_dataset.trials[0].sample_rate_hz,
             small_config.filter_order,
+            small_config.filter_targets,
         )
-        x, _, bounds = feature_rows(small_dataset, filt, small_config.filter_targets)
         x = x[bounds[1] :]  # fold 0: every trial but the first
         x = apply_normalization(x, fit_normalization(x))
         assert len(x) > 3 * _KERNEL_BLOCK_ROWS
@@ -446,6 +470,12 @@ class TestStandardizedBaseline:
                 svr_fit(x, np.sin(4.0 * x[:, 0]), max_updates=500, **{name: value})
 
 
+def stacked(blocks):
+    """(x, y, bounds) of per-trial (x, y) blocks, stacked in order: grid_search_svr's rows."""
+    bounds = np.cumsum([0] + [len(x) for x, _ in blocks]).tolist()
+    return np.concatenate([x for x, _ in blocks]), np.concatenate([y for _, y in blocks]), bounds
+
+
 class TestGridSearch:
     @staticmethod
     @pytest.fixture(scope="class")
@@ -478,19 +508,21 @@ class TestGridSearch:
         return float(np.mean(scores))
 
     def test_singleton_grid(self, linear_blocks):
-        best, _, _ = grid_search_svr(linear_blocks, [3.0], [0.1], [0.5], n_folds=2)
+        best, _, _ = grid_search_svr(*stacked(linear_blocks), [3.0], [0.1], [0.5], n_folds=2)
         assert best == (3.0, 0.1, 0.5)
 
     def test_tie_breaks_lexicographically(self, linear_blocks):
         # duplicated values in the grid force exact score ties
-        best, _, _ = grid_search_svr(linear_blocks, [2.0, 2.0], [0.1], [0.5, 0.5], n_folds=2)
+        best, _, _ = grid_search_svr(
+            *stacked(linear_blocks), [2.0, 2.0], [0.1], [0.5, 0.5], n_folds=2
+        )
         assert best == (2.0, 0.1, 0.5)
 
     def test_selected_model_close_to_linear_oracle(self, linear_blocks):
         # on affine data the exact-fit linear model bounds what any
         # reasonable grid-selected SVR should achieve (same fold protocol)
         best, _, _ = grid_search_svr(
-            linear_blocks, [1.0, 10.0, 100.0], [0.01, 0.1], [1.0 / 6.0, 1.0], n_folds=2
+            *stacked(linear_blocks), [1.0, 10.0, 100.0], [0.01, 0.1], [1.0 / 6.0, 1.0], n_folds=2
         )
         lin_rmse = self._mean_rmse(linear_blocks, linear_fit, linear_predict)
         svr_rmse = self._mean_rmse(
@@ -504,14 +536,16 @@ class TestGridSearch:
         # 2 triples x 2 folds x 2 targets; one update cannot reach tol
         with pytest.warns(RuntimeWarning, match="update cap"):
             _, fits, capped = grid_search_svr(
-                linear_blocks, [1.0, 10.0], [0.1], [0.5], n_folds=2, max_updates=1
+                *stacked(linear_blocks), [1.0, 10.0], [0.1], [0.5], n_folds=2, max_updates=1
             )
         assert (fits, capped) == (8, 8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, fits, capped = grid_search_svr(linear_blocks, [1.0, 10.0], [0.1], [0.5], n_folds=2)
+            _, fits, capped = grid_search_svr(
+                *stacked(linear_blocks), [1.0, 10.0], [0.1], [0.5], n_folds=2
+            )
         assert (fits, capped) == (8, 0)
 
     def test_empty_grid_rejected(self, linear_blocks):
         with pytest.raises(ConfigError, match="non-empty"):
-            grid_search_svr(linear_blocks, [], [0.1], [1.0])
+            grid_search_svr(*stacked(linear_blocks), [], [0.1], [1.0])

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gaitreg import RunConfig, cli
-from gaitreg.data import GaitTrial, write_trial_csv
+from gaitreg.data import MODES, GaitTrial, write_trial_csv
 from gaitreg.mlp import init
 from gaitreg.rng import SplitMix64, derive_seed
 
@@ -517,6 +518,45 @@ class TestConfigBoundary:
         assert proc.returncode == 1
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: ") and "training diverged at epoch" in line
+
+
+@pytest.fixture(scope="module")
+def one_per_mode(tmp_path_factory):
+    data = tmp_path_factory.mktemp("one_per_mode") / "data"
+    trials = {mode: 1 for mode in MODES}
+    assert cli.main(
+        ["synth", "--out", str(data), "--override", f"trials_per_mode={json.dumps(trials)}"]
+    ) == 0
+    return data
+
+
+class TestNonFiniteMetrics:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("factor", [1e200, 1e160])
+    @pytest.mark.parametrize("model", ["linear", "mlp", "svr"])
+    def test_huge_trial_exits_1_naming_fold_target_and_metric(
+        self, capsys, tmp_path, one_per_mode, model, factor
+    ):
+        # one trial's four data columns times factor: its R^2 used to overflow a
+        # Python float (1e200) or reach report.json as NaN and Infinity (1e160)
+        data = tmp_path / "data"
+        shutil.copytree(one_per_mode, data)
+        path = sorted(data.glob("*.csv"))[0]
+        meta, header, *rows = path.read_text().splitlines()
+        for i, row in enumerate(rows):
+            time_s, *cells = row.split(",")
+            rows[i] = ",".join([time_s] + [repr(float(v) * factor) for v in cells])
+        path.write_text("\n".join([meta, header, *rows]) + "\n")
+        code, err = main_in_process(
+            capsys, "loocv", "--data", str(data), "--model", model,
+            "--out", str(tmp_path / "rep"), "--override", "epochs=2",
+        )
+        assert code == 1
+        [line] = err
+        assert re.fullmatch(r"error: fold \d+ \(held-out '\w+'\): (r2|rmse) of target "
+                            r"(theta|tau) is (nan|-?inf)", line)
+        assert "Traceback" not in line
+        assert not (tmp_path / "rep" / "report.json").exists()
 
 
 def write_trials(directory, specs):

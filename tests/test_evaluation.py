@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pickle
 import subprocess
 import sys
 import warnings
@@ -39,6 +40,11 @@ class TestR2:
         assert 0.0 < float(np.sum((y - y.mean()) ** 2)) < 1e-20
         with pytest.raises(MetricError, match="constant"):
             r2_score(y, np.full(60, 12.0))
+
+    def test_huge_constant_target_rejected_without_overflow(self):
+        # the constant test used to square 1e-10 * max|y|, a Python float that overflows
+        with pytest.raises(MetricError, match="constant"):
+            r2_score(np.full(5, 1e200), np.zeros(5))
 
     def test_affine_invariance(self):
         stream = SplitMix64(5)
@@ -86,24 +92,24 @@ def make_fold(trial_id, err_theta, err_tau, n=50):
 
 class TestPhaseCurve:
     def test_perfect_predictions_zero_curve(self):
-        grid, mae, se = phase_mae_curve([make_fold("a", 0.0, 0.0)])
-        assert grid.shape == (101,)
+        mae, se = phase_mae_curve([make_fold("a", 0.0, 0.0)])
+        assert mae.shape == (101, 2)
         assert np.all(mae == 0.0) and np.all(se == 0.0)
 
     def test_single_trial_constant_error(self):
-        _, mae, se = phase_mae_curve([make_fold("a", 2.0, 0.0)])
+        mae, se = phase_mae_curve([make_fold("a", 2.0, 0.0)])
         assert np.allclose(mae[:, 0], 2.0, atol=1e-12)
         assert np.all(se == 0.0)
 
     def test_two_trials_hand_computed_se(self):
         # errors 1 and 3 everywhere: mean 2, sd sqrt(2), se sqrt(2)/sqrt(2) = 1
-        _, mae, se = phase_mae_curve([make_fold("a", 1.0, 1.0), make_fold("b", 3.0, 3.0)])
+        mae, se = phase_mae_curve([make_fold("a", 1.0, 1.0), make_fold("b", 3.0, 3.0)])
         assert np.allclose(mae, 2.0, atol=1e-12)
         assert np.allclose(se, 1.0, atol=1e-12)
 
     def test_custom_bin_count(self):
-        grid, mae, _ = phase_mae_curve([make_fold("a", 1.0, 0.0)], n_bins=11)
-        assert grid.shape == (11,) and mae.shape == (11, 2)
+        mae, se = phase_mae_curve([make_fold("a", 1.0, 0.0)], n_bins=11)
+        assert mae.shape == se.shape == (11, 2)
 
 
 class TestRunLoocv:
@@ -198,12 +204,7 @@ class TestRunLoocv:
         self, small_dataset, small_config, monkeypatch, paper_faithful_norm
     ):
         import gaitreg.evaluation as evaluation
-        from gaitreg.preprocessing import (
-            ButterworthFilter,
-            apply_normalization,
-            feature_rows,
-            fit_normalization,
-        )
+        from gaitreg.preprocessing import apply_normalization, feature_rows, fit_normalization
 
         config = small_config.with_overrides({"paper_faithful_norm": paper_faithful_norm})
         seen = {}
@@ -225,8 +226,7 @@ class TestRunLoocv:
         run_loocv(small_dataset, "mlp", config)
         # a linear fold reads no training rows, but is scaled by the same fit
         run_loocv(small_dataset, "linear", config)
-        filt = ButterworthFilter.design(config.cutoff_hz, 200.0, config.filter_order)
-        x_all, y_all, bounds = feature_rows(small_dataset, filt)
+        x_all, y_all, bounds = feature_rows(small_dataset, config.cutoff_hz, config.filter_order)
         blocks = [(x_all[a:b], y_all[a:b]) for a, b in zip(bounds, bounds[1:])]
         assert len({len(x) for x, _ in blocks}) > 1  # trials of unequal length
         pooled = fit_normalization(np.concatenate([x for x, _ in blocks]))
@@ -330,7 +330,7 @@ class TestRunLoocv:
     ):
         import gaitreg.evaluation as evaluation
         from gaitreg import linear_fit, linear_predict
-        from gaitreg.preprocessing import ButterworthFilter, apply_normalization, fit_normalization
+        from gaitreg.preprocessing import apply_normalization, fit_normalization
 
         original = evaluation.feature_rows
 
@@ -346,8 +346,9 @@ class TestRunLoocv:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             report = run_loocv(small_dataset, "linear", config)
-        filt = ButterworthFilter.design(config.cutoff_hz, 200.0, config.filter_order)
-        x_all, y_all, bounds = evaluation.feature_rows(small_dataset, filt, config.filter_targets)
+        x_all, y_all, bounds = evaluation.feature_rows(
+            small_dataset, config.cutoff_hz, config.filter_order, config.filter_targets
+        )
         blocks = [(x_all[a:b], y_all[a:b]) for a, b in zip(bounds, bounds[1:])]
         pooled = fit_normalization(x_all)
         expected_warnings = []
@@ -368,38 +369,63 @@ class TestRunLoocv:
         assert [str(w.message) for w in caught] == expected_warnings
         assert len(expected_warnings) == (len(blocks) if constant_column else 0)
 
+    @pytest.mark.filterwarnings("ignore:SMO stopped at the update cap")
+    @pytest.mark.parametrize("model", ["linear", "mlp", "svr"])
     def test_held_out_rows_leave_their_fold_bit_identical(
-        self, small_dataset, small_config, monkeypatch
+        self, small_dataset, small_config, monkeypatch, model
     ):
         import gaitreg.evaluation as evaluation
 
-        models = []
-        original = evaluation.linear_fit_factored
+        fit_name = {"linear": "linear_fit_factored", "mlp": "train", "svr": "fit_svr_baseline"}
+        original_fit = getattr(evaluation, fit_name[model])
+        original_chunk = evaluation._run_chunk
 
-        def recording(*args):
-            models.append(original(*args))
-            return models[-1]
+        def folds(trials, config):
+            """Per fold: y_pred, the fitted parameters at the fit call, and the scaling record."""
+            fits, scalings = [], []
 
-        monkeypatch.setattr(evaluation, "linear_fit_factored", recording)
+            def fitting(*args, **kwargs):
+                result = original_fit(*args, **kwargs)
+                fits.append(pickle.dumps(result[0] if model == "mlp" else result))
+                return result
+
+            def chunk(payload, indices):
+                scalings.extend(pickle.dumps(payload[3][k][4]) for k in indices)
+                return original_chunk(payload, indices)
+
+            monkeypatch.setattr(evaluation, fit_name[model], fitting)
+            monkeypatch.setattr(evaluation, "_run_chunk", chunk)
+            report = run_loocv(GaitDataset(trials), model, config)
+            return [f.y_pred.tobytes() for f in report.folds], fits, scalings
+
         k = 3
-        trial = small_dataset.trials[k]
-        changed = dataclasses.replace(
-            trial,
-            theta_hip=trial.theta_hip * 1.5 + 4.0,
-            theta_knee=trial.theta_knee[::-1],
-            tau_ankle=trial.tau_ankle - 2.0,
+        trials = small_dataset.trials[:6]
+        trial = trials[k]
+        new_targets = dataclasses.replace(
+            trial, theta_ankle=trial.theta_ankle + 1.0, tau_ankle=trial.tau_ankle - 2.0
         )
-        trials = small_dataset.trials
-        run_loocv(small_dataset, "linear", small_config)
-        run_loocv(GaitDataset(trials[:k] + (changed,) + trials[k + 1 :]), "linear", small_config)
-        n = len(trials)
-        before, after = models[:n], models[n:]
-        assert before[k].weights.tobytes() == after[k].weights.tobytes()
-        assert before[k].intercept.tobytes() == after[k].intercept.tobytes()
-        # every other fold trains on the changed trial, so its fit moves
-        for j in range(n):
-            if j != k:
-                assert not np.array_equal(before[j].weights, after[j].weights)
+        new_inputs = dataclasses.replace(
+            trial, theta_hip=trial.theta_hip * 1.5 + 4.0, theta_knee=trial.theta_knee[::-1]
+        )
+
+        def moved(before, changed, config):
+            """Whether fold k's (y_pred, fit, scaling) move, and whether every other fold's do."""
+            after = folds(trials[:k] + (changed,) + trials[k + 1 :], config)
+            at_k = [b[k] != a[k] for b, a in zip(before, after)]
+            others = [all(b[j] != a[j] for j in range(len(trials)) if j != k)
+                      for b, a in zip(before, after)]
+            return at_k, others
+
+        config = small_config.with_overrides({"epochs": 2})
+        before = folds(trials, config)
+        at_k, others = moved(before, new_targets, config)
+        assert not at_k[0] and others[0]  # y_pred
+        at_k, others = moved(before, new_inputs, config)
+        assert at_k[1:] == [False, False] and others[1]  # fitted parameters, scaling
+        # control: a scaling fitted on every trial leaks the held-out trial's extrema
+        leaky = config.with_overrides({"paper_faithful_norm": True})
+        at_k, _ = moved(folds(trials, leaky), new_inputs, leaky)
+        assert at_k[2]
 
     def test_single_trial_rejected(self, small_dataset, small_config):
         with pytest.raises(ConfigError, match="at least 2 trials, got 1"):
@@ -413,7 +439,8 @@ class TestRunLoocv:
         # with identical phase grids, the mean of per-trial curves equals the
         # curve of the per-bin mean error (linearity of interpolation)
         folds = [make_fold("a", 1.0, 0.5), make_fold("b", 3.0, 1.5), make_fold("c", 0.5, 2.0)]
-        grid, mae, _ = phase_mae_curve(folds)
+        mae, _ = phase_mae_curve(folds)
+        grid = np.linspace(0.0, 100.0, 101)
         pooled_err = np.mean([np.abs(f.y_pred - f.y_true) for f in folds], axis=0)
         direct = np.column_stack(
             [np.interp(grid, np.linspace(0, 100, 50), pooled_err[:, t]) for t in range(2)]
@@ -464,6 +491,13 @@ class TestEmitReport:
         emit_report(report, tmp_path)
         data = json.loads((tmp_path / "report.json").read_text())
         assert data["modes"] == report.modes
+
+    def test_non_finite_number_refused_before_anything_is_written(self, report, tmp_path):
+        # run_loocv refuses non-finite metrics; json.dumps(allow_nan=False) is the last guard
+        broken = dataclasses.replace(report, pooled={"r2": {"theta": float("nan")}})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            emit_report(broken, tmp_path / "out")
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_written_names_are_report_file_names(self, report, tmp_path):
         from gaitreg.evaluation import report_file_names

@@ -156,7 +156,7 @@ class TestStabilityCheck:
     def test_unstable_cascade_names_its_section(self, filt):
         a1, a2 = filt.sections[0][3:]
         cascade = section_filter((a1, a2), (a1, a2), (-0.5, 1.5))
-        with pytest.raises(ConfigError, match=r"section 2 is unstable: .*1\.2247"):
+        with pytest.raises(ConfigError, match=r"section 2 is unstable: .*1 - \|a2\| = -0\.5 "):
             cascade._validate()
 
     @pytest.mark.parametrize("rate", [100.0, 200.0, 1000.0])
@@ -234,7 +234,7 @@ def two_rate_dataset():
 
 def trial_blocks(trials, filt, filter_targets=True):
     """Each trial's (inputs, targets): its row slice of feature_rows."""
-    inputs, targets, bounds = feature_rows(trials, filt, filter_targets)
+    inputs, targets, bounds = feature_rows(trials, filt.cutoff_hz, filt.order, filter_targets)
     return [(inputs[a:b], targets[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
@@ -271,7 +271,7 @@ class TestBatchedFilter:
         dataset = two_rate_dataset()
         blocks = trial_blocks(dataset, filt)
         for trial, (inputs, targets) in zip(dataset, blocks):
-            rate_filt = filt.with_sample_rate(trial.sample_rate_hz)
+            rate_filt = ButterworthFilter.design(filt.cutoff_hz, trial.sample_rate_hz, filt.order)
             ref_inputs, ref_targets = loop_trial_features(trial, rate_filt.sections, 4)
             assert inputs.shape[0] == trial.n_samples
             assert np.array_equal(inputs, ref_inputs)
@@ -297,7 +297,7 @@ class TestDerivatives:
     def test_derivative_columns_are_np_gradient_per_trial(self, filt):
         # each trial is differentiated on its own, at its own sample rate
         dataset = two_rate_dataset()
-        inputs, _, bounds = feature_rows(dataset, filt)
+        inputs, _, bounds = feature_rows(dataset, filt.cutoff_hz, filt.order)
         for trial, a, b in zip(dataset, bounds, bounds[1:]):
             dt = 1.0 / trial.sample_rate_hz
             for angle in (0, 3):

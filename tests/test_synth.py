@@ -144,8 +144,7 @@ class TestLinearMode:
         # the generator builds its targets from the same feature_rows the
         # pipeline uses, so they match bit for bit, not just to a tolerance
         dataset = generate(SynthConfig(noise_std_deg=0.0, linear_mode=True))
-        filt = ButterworthFilter.design(6.0, 200.0, 4)
-        inputs, _, bounds = feature_rows(dataset, filt, filter_targets=False)
+        inputs, _, bounds = feature_rows(dataset, 6.0, 4, filter_targets=False)
         for trial, a, b in zip(dataset, bounds, bounds[1:]):
             expected = inputs[a:b] @ LINEAR_WEIGHTS.T + LINEAR_INTERCEPT
             assert np.array_equal(np.column_stack([trial.theta_ankle, trial.tau_ankle]), expected)
