@@ -12,15 +12,10 @@ from math import pi, tan
 
 import numpy as np
 
-from gaitreg import (
-    ButterworthFilter,
-    SynthConfig,
-    build_features,
-    generate,
-    spectral_energy_fraction,
-)
+from gaitreg import ButterworthFilter, SynthConfig, generate, spectral_energy_fraction
 from gaitreg.preprocessing import (
     apply_normalization,
+    feature_rows,
     fit_normalization,
     trial_features,
 )
@@ -45,8 +40,10 @@ fractions = [
 ]
 print(f"\nhip-angle energy fraction below 6 Hz: min {min(fractions):.4f} over {len(fractions)} trials")
 
-# build_features assembles the 6-column input matrix and the 2-column targets.
-inputs, targets = build_features(dataset, filt)
+# feature_rows stacks every trial's 6-column input rows and 2-column targets;
+# min-max scaling over all of them maps each input column onto [0, 1].
+inputs, targets, _ = feature_rows(dataset, filt.cutoff_hz, filt.order)
+inputs = apply_normalization(inputs, fit_normalization(inputs))
 print(f"\nfeature matrix: {inputs.shape}, targets: {targets.shape}")
 print("columns: theta_hip, dtheta_hip, ddtheta_hip, theta_knee, dtheta_knee, ddtheta_knee")
 print(f"training inputs span [{inputs.min():.3f}, {inputs.max():.3f}]")

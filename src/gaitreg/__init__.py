@@ -19,19 +19,13 @@ from .baselines import linear_fit, linear_predict, svr_fit, svr_predict
 from .config import RunConfig
 from .data import loo_splits
 from .evaluation import emit_report, r2_score, rmse, run_loocv
-from .preprocessing import (
-    ButterworthFilter,
-    build_features,
-    lowpass_zero_phase,
-    spectral_energy_fraction,
-)
+from .preprocessing import ButterworthFilter, lowpass_zero_phase, spectral_energy_fraction
 from .synth import SynthConfig, generate, ground_truth
 
 __all__ = [
     "ButterworthFilter",
     "RunConfig",
     "SynthConfig",
-    "build_features",
     "emit_report",
     "generate",
     "ground_truth",

@@ -96,10 +96,8 @@ def linear_fit(x: np.ndarray, y: np.ndarray) -> LinearModel:
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim == 1:
-        y = y[:, None]
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ConfigError(f"design {x.shape} and targets {y.shape} do not align")
+    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ConfigError(f"design {x.shape} and targets {y.shape} are not rows that align")
     return _least_squares(np.column_stack([x, np.ones(len(x))]), y, len(x))
 
 
@@ -136,6 +134,7 @@ def linear_predict(model: LinearModel, x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float64) @ model.weights.T + model.intercept
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     """k(u, v) = exp(-gamma * ||u - v||^2), dense matrix built in place.
 
@@ -146,6 +145,7 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     product is not bit-identical to the full one (numpy takes its
     symmetric path when a is b).  Beside the result, the build holds one
     block of _KERNEL_BLOCK_ROWS (16) rows and the two row-norm vectors.
+    An overflowing squared distance gives 0, the limit, or NaN, which scores refuse.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
@@ -345,16 +345,13 @@ def svr_fit(
 
 
 def svr_predict(model: SvrModel, x: np.ndarray) -> np.ndarray:
-    """f(x) = sum_i coef_i k(x_i, x) + b over the stored support vectors."""
+    """f(x) = sum_i coef_i k(x_i, x) + b of each row x, over the stored support vectors."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
+    if x.ndim != 2:
+        raise ConfigError(f"svr_predict takes rows, got shape {x.shape}")
     if len(model.support_coef) == 0:
-        out = np.full(x.shape[0], model.bias)
-    else:
-        out = rbf_kernel(x, model.support_vectors, model.gamma) @ model.support_coef
-        out = out + model.bias
-    return float(out[0]) if single else out
+        return np.full(len(x), model.bias)
+    return rbf_kernel(x, model.support_vectors, model.gamma) @ model.support_coef + model.bias
 
 
 @dataclass(frozen=True)
@@ -381,13 +378,17 @@ def fit_svr_baseline(
     tube width meaningful for targets in degrees and newton-meters alike.
     Every column is fitted on one shared kernel, the fit's only n x n array.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim == 1:
-        y = y[:, None]
+    if x.ndim != 2 or y.ndim != 2:
+        raise ConfigError(f"need rows of inputs and targets, got x {x.shape} and y {y.shape}")
     gamma = _checked_gamma(x, y, c, epsilon, gamma, tol, max_updates)
-    mean = y.mean(axis=0)
-    std = y.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        mean = y.mean(axis=0)
+        std = y.std(axis=0)
+    if not np.isfinite(std).all():
+        column = np.isfinite(std).argmin()
+        raise TrainError(f"target column {column}'s standard deviation overflows float64")
     std = np.where(std == 0.0, 1.0, std)
     kernel = rbf_kernel(x, x, gamma)
     models = tuple(

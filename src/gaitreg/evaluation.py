@@ -27,7 +27,7 @@ from .baselines import (
 )
 from .config import RunConfig
 from .data import MODES, GaitDataset
-from .errors import ConfigError, MetricError, PipelineError
+from .errors import ConfigError, MetricError, PipelineError, TrainError
 from .ioutil import atomic_write_text, refuse_foreign_entries
 from .mlp import forward, init, train
 from .preprocessing import apply_normalization, feature_rows, fit_normalization, scaling_matrix
@@ -67,15 +67,19 @@ def rmse(y: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.sqrt(np.mean((y - y_pred) ** 2)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a square that overflows is refused below
 def _scores(y: np.ndarray, y_pred: np.ndarray) -> tuple[dict[str, float], dict[str, float]]:
-    """(r2, rmse) of each target column; a non-finite one is a MetricError naming it."""
-    r2, err = ({k: metric(y[:, t], y_pred[:, t]) for t, k in enumerate(TARGET_KEYS)}
-               for metric in (r2_score, rmse))
-    for name, scores in (("r2", r2), ("rmse", err)):
-        for key, value in scores.items():
+    """(r2, rmse) of each target column; an undefined or non-finite score is a MetricError."""
+    scores = {"r2": {}, "rmse": {}}
+    for name, metric in (("r2", r2_score), ("rmse", rmse)):
+        for t, key in enumerate(TARGET_KEYS):
+            try:
+                value = scores[name][key] = metric(y[:, t], y_pred[:, t])
+            except MetricError as exc:
+                raise MetricError(f"{name} of target {key}: {exc}") from None
             if not math.isfinite(value):
                 raise MetricError(f"{name} of target {key} is {value}")
-    return r2, err
+    return scores["r2"], scores["rmse"]
 
 
 @dataclass
@@ -264,6 +268,10 @@ def run_loocv(
     factors = None
     if model_spec == "linear":
         factors = np.stack([linear_factor(x_all[a:b], y_all[a:b]) for a, b in spans])
+        overflowed = ~np.isfinite(factors).all(axis=(1, 2))
+        if overflowed.any():
+            raise TrainError(f"trial {dataset.trials[overflowed.argmax()].trial_id!r}: "
+                             "its least-squares factor overflows float64")
     payload = (x_all, y_all, factors, records, model_spec, config)
 
     n = len(dataset)

@@ -51,9 +51,6 @@ class MlpModel:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    def n_layers(self) -> int:
-        return len(self.weights)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -151,27 +148,17 @@ def _backward_layers(weights, acts, pres, deltas, grad_w, grad_b, l2_penalty) ->
             delta = np.matmul(delta, weights[l], out=deltas[l - 1])
 
 
-def _forward_pass(model: MlpModel, x: np.ndarray):
-    """Returns (activations per layer including input, pre-activations, deltas)."""
-    pres, acts, deltas = _buffers(model.layer_dims, x.shape[0])
-    acts[0] = x
-    _forward_layers(model.weights, model.biases, acts, pres)
-    return acts, pres, deltas
-
-
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network on one input vector or a batch of rows."""
+    """Evaluate the network on a batch of rows."""
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise TrainError("non-finite input to forward pass")
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != model.layer_dims[0]:
-        raise ConfigError(f"input width {x.shape[1]} != model input {model.layer_dims[0]}")
-    acts, _, _ = _forward_pass(model, x)
-    out = acts[-1]
-    return out[0] if single else out
+    if x.ndim != 2 or x.shape[1] != model.layer_dims[0]:
+        raise ConfigError(f"input of shape {x.shape} is not rows of width {model.layer_dims[0]}")
+    pres, acts, _ = _buffers(model.layer_dims, x.shape[0])
+    acts[0] = x
+    _forward_layers(model.weights, model.biases, acts, pres)
+    return acts[-1]
 
 
 def loss_and_gradient(
@@ -183,7 +170,9 @@ def loss_and_gradient(
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ConfigError(f"batch shapes {x.shape} / {y.shape} do not align")
     n = x.shape[0]
-    acts, pres, deltas = _forward_pass(model, x)
+    pres, acts, deltas = _buffers(model.layer_dims, n)
+    acts[0] = x
+    _forward_layers(model.weights, model.biases, acts, pres)
     resid = np.subtract(acts[-1], y, out=deltas[-1])
     data_loss = 0.5 * float(np.sum(resid**2)) / n
     reg_loss = 0.5 * l2_penalty * sum(float(np.sum(w**2)) for w in model.weights)
@@ -205,7 +194,7 @@ def sgd_step(
     grad_w, grad_b = grads
     mu = config.momentum
     lr = config.learning_rate
-    for l in range(model.n_layers()):
+    for l in range(len(model.weights)):
         state.vel_weights[l] *= mu
         state.vel_weights[l] -= lr * grad_w[l]
         model.weights[l] += state.vel_weights[l]
@@ -238,7 +227,7 @@ def train(
         raise ConfigError(f"training shapes {x.shape} / {y.shape} do not align")
     n = x.shape[0]
     l2 = config.l2_penalty
-    layers = model.n_layers()
+    layers = len(model.weights)
     params = model.weights + model.biases
     theta = np.concatenate([p.ravel() for p in params])
     grad = np.empty_like(theta)
@@ -317,8 +306,7 @@ def gradient_check(
     Returns (all entries below GRADCHECK_THRESHOLD, max relative error).
     """
     _, (grad_w, grad_b) = loss_and_gradient(model, x, y, l2_penalty)
-    tensors = [(model.weights[l], grad_w[l]) for l in range(model.n_layers())]
-    tensors += [(model.biases[l], grad_b[l]) for l in range(model.n_layers())]
+    tensors = [*zip(model.weights, grad_w), *zip(model.biases, grad_b)]
     stream = SplitMix64(seed)
     max_rel = 0.0
     for theta, grad in tensors:

@@ -17,10 +17,10 @@ low-pass once per sample rate from a cutoff and an order, builds every
 trial's unscaled rows this way into one stack, and differentiates the
 filtered angles of all trials in one pass over it (np.gradient's central
 differences, one-sided at each trial's ends).  It is the one place input
-rows are built: run_loocv, trial_features, build_features and synth's
-linear_mode targets all read it.  run_loocv then fits each fold's min-max
-scaling from the trials' own column extrema, which is exact because min
-and max are.
+rows are built: run_loocv, trial_features and synth's linear_mode targets
+all read it.  A min-max scaling is the (2, d) array of its column minima
+and maxima (fit_normalization); run_loocv fits each fold's from the
+trials' own column extrema, which is exact because min and max are.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .data import GaitDataset, GaitTrial
+from .data import GaitTrial
 from .errors import ConfigError, PreprocessError
 
 # the run's default low-pass filter; synth's linear_mode targets use it too
@@ -225,73 +225,52 @@ def _gradient(f: np.ndarray, bounds, dt: np.ndarray, out: np.ndarray) -> np.ndar
     return out
 
 
-@dataclass(frozen=True)
-class NormalizationParams:
-    """Per-column min/max fitted on training rows only."""
-
-    mins: np.ndarray
-    maxs: np.ndarray
-
-    def __post_init__(self):
-        mins = np.asarray(self.mins, dtype=np.float64)
-        maxs = np.asarray(self.maxs, dtype=np.float64)
-        if mins.shape != maxs.shape or mins.ndim != 1:
-            raise ConfigError("mins and maxs must be 1-D arrays of equal length")
-        if np.any(maxs < mins):
-            raise ConfigError("max < min in normalization parameters")
-        object.__setattr__(self, "mins", mins)
-        object.__setattr__(self, "maxs", maxs)
-
-    @property
-    def degenerate(self) -> np.ndarray:
-        """Mask of constant (zero-range) columns."""
-        return self.maxs == self.mins
-
-
-def fit_normalization(rows: np.ndarray) -> NormalizationParams:
+def fit_normalization(rows: np.ndarray) -> np.ndarray:
+    """Min-max scaling fitted on training rows: the (2, d) stack of column minima and maxima."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] < 2:
         raise PreprocessError(f"need a 2-D matrix with >= 2 rows, got shape {rows.shape}")
-    return NormalizationParams(rows.min(axis=0), rows.max(axis=0))
+    return np.stack([rows.min(axis=0), rows.max(axis=0)])
 
 
 def apply_normalization(
-    rows: np.ndarray, params: NormalizationParams, out: np.ndarray | None = None
+    rows: np.ndarray, params: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """(x - min) / (max - min) per column; out-of-range values are NOT clamped.
 
-    Degenerate (constant) columns map to 0.0 everywhere.  The result goes
-    to out when given (which may be rows itself, scaling them in place),
-    else to a new array; both routes run the same operations in the same
-    order, so they give the same bits.
+    params is fit_normalization's (2, d) [min; max].  Constant columns
+    (max == min) map to 0.0 everywhere.  The result goes to out when given
+    (which may be rows itself, scaling them in place), else to a new array;
+    both routes run the same operations in the same order, so they give
+    the same bits.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != len(params.mins):
-        raise PreprocessError(
-            f"expected shape (n, {len(params.mins)}), got {rows.shape}"
-        )
-    span = params.maxs - params.mins
-    safe = np.where(params.degenerate, 1.0, span)
-    out = np.subtract(rows, params.mins, out=out)
+    lo, hi = params
+    if rows.ndim != 2 or rows.shape[1] != len(lo):
+        raise PreprocessError(f"expected shape (n, {len(lo)}), got {rows.shape}")
+    constant = hi == lo
+    safe = np.where(constant, 1.0, hi - lo)
+    out = np.subtract(rows, lo, out=out)
     out /= safe
-    out[:, params.degenerate] = 0.0
+    out[:, constant] = 0.0
     return out
 
 
-def scaling_matrix(params: NormalizationParams) -> np.ndarray:
+def scaling_matrix(params: np.ndarray) -> np.ndarray:
     """(d + 1, d + 1) matrix S with [x, 1] @ S == [apply_normalization(x, params), 1].
 
     Column c of S holds 1/span on the diagonal and -min/span in the last
-    (intercept) row; a degenerate column is all zeros, as
+    (intercept) row; a constant column is all zeros, as
     apply_normalization maps it to 0.  The product equals the scaled rows
     up to rounding, not bit for bit.
     """
-    d = len(params.mins)
-    live = np.flatnonzero(~params.degenerate)
-    span = params.maxs[live] - params.mins[live]
+    lo, hi = params
+    d = len(lo)
+    live = np.flatnonzero(hi != lo)
+    span = hi[live] - lo[live]
     out = np.zeros((d + 1, d + 1))
     out[live, live] = 1.0 / span
-    out[d, live] = -params.mins[live] / span
+    out[d, live] = -lo[live] / span
     out[d, d] = 1.0
     return out
 
@@ -324,6 +303,7 @@ def spectral_energy_fraction(
     return float(power[folded_hz <= threshold_hz].sum() / total)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused at the end
 def feature_rows(
     trials: Iterable[GaitTrial], cutoff_hz: float, order: int, filter_targets: bool = True
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -334,7 +314,9 @@ def feature_rows(
     and the trials sharing a rate are filtered together in one batched
     zero-phase pass; the filtered angles of all trials are then
     differentiated in one pass.  A trial too short for the filter's
-    padding, or the first trial at a rate the design refuses, is named.
+    padding, the first trial at a rate the design refuses, and the trial of
+    largest magnitude when a value or the range of all values overflows
+    are named; a finite overall range keeps every column's scaling finite.
     """
     trials = list(trials)
     pad = 3 * order
@@ -372,6 +354,10 @@ def feature_rows(
             [np.concatenate([t.theta_ankle for t in trials]),
              np.concatenate([t.tau_ankle for t in trials])]
         )
+    if not all(np.isfinite(a.max() - a.min()) for a in (inputs, targets)):
+        size = np.maximum(np.abs(inputs).max(axis=1), np.abs(targets).max(axis=1))
+        big = trials[np.searchsorted(bounds, size.argmax(), side="right") - 1]
+        raise PreprocessError(f"trial {big.trial_id!r}: a feature value or range overflows float64")
     return inputs, targets, bounds
 
 
@@ -381,18 +367,3 @@ def trial_features(
     """Unnormalized (inputs, targets) of one trial: feature_rows at filt's cutoff and order."""
     inputs, targets, _ = feature_rows([trial], filt.cutoff_hz, filt.order, filter_targets)
     return inputs, targets
-
-
-def build_features(
-    dataset: GaitDataset, filt: ButterworthFilter, filter_targets: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """(inputs, targets) of every trial's feature_rows, stacked in dataset order.
-
-    filt gives the cutoff and order; each sample rate gets its own design.
-    inputs is the (n, 6) matrix min-max scaled over these rows; targets,
-    (n, 2) [theta_ankle_deg, tau_ankle_Nm], are never scaled.  run_loocv
-    works on the unscaled stack directly and fits the scaling per fold;
-    this whole-dataset view serves library callers and demos.
-    """
-    inputs, targets, _ = feature_rows(dataset, filt.cutoff_hz, filt.order, filter_targets)
-    return apply_normalization(inputs, fit_normalization(inputs)), targets

@@ -83,20 +83,19 @@ def band_plot_svg(
             f'<text x="{_fmt(px(v))}" y="{_fmt(_HEIGHT - _BOTTOM + 16)}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{v:.4g}</text>'
         )
-    if x_lo < divider_x < x_hi:
-        parts.append(
-            f'<line x1="{_fmt(px(divider_x))}" y1="{_fmt(py(y_hi))}" '
-            f'x2="{_fmt(px(divider_x))}" y2="{_fmt(py(y_lo))}" '
-            f'stroke="#888888" stroke-width="1" stroke-dasharray="5,4"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(px(divider_x) - 6)}" y="{_fmt(_TOP + 12)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="#666666">stance</text>'
-        )
-        parts.append(
-            f'<text x="{_fmt(px(divider_x) + 6)}" y="{_fmt(_TOP + 12)}" text-anchor="start" '
-            f'font-family="sans-serif" font-size="11" fill="#666666">swing</text>'
-        )
+    parts.append(
+        f'<line x1="{_fmt(px(divider_x))}" y1="{_fmt(py(y_hi))}" '
+        f'x2="{_fmt(px(divider_x))}" y2="{_fmt(py(y_lo))}" '
+        f'stroke="#888888" stroke-width="1" stroke-dasharray="5,4"/>'
+    )
+    parts.append(
+        f'<text x="{_fmt(px(divider_x) - 6)}" y="{_fmt(_TOP + 12)}" text-anchor="end" '
+        f'font-family="sans-serif" font-size="11" fill="#666666">stance</text>'
+    )
+    parts.append(
+        f'<text x="{_fmt(px(divider_x) + 6)}" y="{_fmt(_TOP + 12)}" text-anchor="start" '
+        f'font-family="sans-serif" font-size="11" fill="#666666">swing</text>'
+    )
     # error band and mean line; px and py map whole arrays elementwise
     xs = px(x).tolist()
     upper = _points(xs, py(mean + half_band).tolist())

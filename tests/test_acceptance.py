@@ -17,7 +17,6 @@ from oracles import brute_force_svr_dual, butterworth_warped_magnitude
 from gaitreg import (
     ButterworthFilter,
     RunConfig,
-    build_features,
     generate,
     linear_fit,
     linear_predict,
@@ -31,6 +30,7 @@ from gaitreg import (
     svr_predict,
 )
 from gaitreg.mlp import gradient_check, init
+from gaitreg.preprocessing import apply_normalization, feature_rows, fit_normalization
 from gaitreg.rng import SplitMix64, derive_seed
 
 FS = 200.0
@@ -117,8 +117,8 @@ def test_criterion_5_linear_recovery():
     report = run_loocv(dataset, "linear", config)
     worst = min(min(f.r2["theta"], f.r2["tau"]) for f in report.folds)
     assert worst >= 0.999, f"worst per-fold R^2 {worst}"
-    filt = ButterworthFilter.design(6.0, FS, 4)
-    inputs, targets = build_features(dataset, filt, filter_targets=False)
+    inputs, targets, _ = feature_rows(dataset, 6.0, 4, filter_targets=False)
+    inputs = apply_normalization(inputs, fit_normalization(inputs))
     model = linear_fit(inputs, targets)
     residual = linear_predict(model, inputs) - targets
     design = np.column_stack([inputs, np.ones(len(inputs))])

@@ -53,7 +53,7 @@ class TestLinearFit:
         assert np.abs(model.weights - w).max() < 1e-8
 
     def test_two_point_line(self):
-        model = linear_fit(np.array([[0.0], [1.0]]), np.array([0.0, 2.0]))
+        model = linear_fit(np.array([[0.0], [1.0]]), np.array([[0.0], [2.0]]))
         assert model.weights[0, 0] == pytest.approx(2.0, abs=1e-12)
         assert model.intercept[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -61,7 +61,7 @@ class TestLinearFit:
         stream = SplitMix64(2)
         x = stream.normal_block(120).reshape(20, 6)
         x -= x.mean(axis=0)
-        model = linear_fit(x, np.ones(20))
+        model = linear_fit(x, np.ones((20, 1)))
         assert model.intercept[0] == pytest.approx(1.0, abs=1e-10)
         assert np.abs(model.weights).max() < 1e-10
 
@@ -79,14 +79,14 @@ class TestLinearFit:
         x[:, 0] = np.arange(10.0)
         x[:, 1] = 2.0 * np.arange(10.0)  # collinear
         with pytest.warns(UserWarning, match="rank-deficient"):
-            model = linear_fit(x, np.arange(10.0))
+            model = linear_fit(x, np.arange(10.0)[:, None])
         assert np.all(np.isfinite(model.weights))
 
     def test_lapack_failure_raises_train_error(self):
         x = SplitMix64(4).uniform_block(60).reshape(10, 6)
         x[3, 2] = np.nan
         with pytest.raises(TrainError, match=r"least squares failed on a \(10, 7\) design"):
-            linear_fit(x, np.arange(10.0))
+            linear_fit(x, np.arange(10.0)[:, None])
 
     def test_bit_identical_to_lstsq_with_default_rcond(self):
         stream = SplitMix64(5)
@@ -168,7 +168,7 @@ def loo_svr_fold0_tau():
 class TestSvrFit:
     def test_single_point_within_tube(self):
         model = svr_fit(np.array([[0.3, 0.7]]), np.array([1.5]), c=5.0, epsilon=0.2, gamma=1.0)
-        pred = svr_predict(model, np.array([0.3, 0.7]))
+        pred = svr_predict(model, np.array([[0.3, 0.7]]))[0]
         assert abs(pred - 1.5) <= 0.2 + 1e-9
         assert model.converged
 
@@ -344,7 +344,7 @@ class TestSvrPredict:
         model = svr_fit(np.array([[0.0], [10.0]]), np.array([0.0, 3.0]), c=5.0, epsilon=0.1, gamma=1.0)
         # prediction at a support vector equals coef * k(x,x) + contributions
         for xi, yi in zip([0.0, 10.0], [0.0, 3.0]):
-            assert abs(svr_predict(model, np.array([xi])) - yi) <= 0.1 + 1e-6
+            assert abs(svr_predict(model, np.array([[xi]]))[0] - yi) <= 0.1 + 1e-6
 
     def test_matches_independent_kernel_sum(self):
         rng = np.random.default_rng(14)
@@ -356,7 +356,7 @@ class TestSvrPredict:
             coef * rbf(sv, probe, model.gamma)
             for coef, sv in zip(model.support_coef, model.support_vectors)
         )
-        assert svr_predict(model, probe) == pytest.approx(expected, abs=1e-12)
+        assert svr_predict(model, probe[None])[0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestKernel:
@@ -439,6 +439,26 @@ class TestStandardizedBaseline:
             tracemalloc.stop()
         # two kernels, or one built through n x n temporaries, reach 2-3 n^2 * 8
         assert peak < 1.25 * n * n * 8
+
+    @pytest.mark.parametrize(
+        "call, shape",
+        [
+            (lambda x: linear_fit(x, x[:, 0]), r"\(6,\)"),
+            (lambda x: fit_svr_baseline(x, x[:, 0]), r"\(6,\)"),
+            (lambda x: svr_predict(svr_fit(x, x[:, 0]), x[0]), r"\(2,\)"),
+        ],
+    )
+    def test_one_dimensional_input_refused_naming_its_shape(self, call, shape):
+        x = np.linspace(0.0, 1.0, 12).reshape(6, 2)
+        with pytest.raises(ConfigError, match=shape):
+            call(x)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_target_deviation_overflow_refused_naming_the_column(self):
+        x = np.linspace(0.0, 1.0, 12).reshape(6, 2)
+        y = np.column_stack([x[:, 0], [1e200, -1e200] * 3])
+        with pytest.raises(TrainError, match="target column 1's standard deviation overflows"):
+            fit_svr_baseline(x, y)
 
     def test_mismatched_targets_refused_before_the_kernel_build(self, monkeypatch):
         def no_build(*args):

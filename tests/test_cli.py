@@ -250,7 +250,7 @@ class TestLoocv:
         assert proc.returncode == 1
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: fold 1 ") and repr(path.stem) in line
-        assert "constant target" in line
+        assert "r2 of target tau: R^2 is undefined for a constant target" in line
 
     def test_reused_out_of_a_run_with_more_modes_exits_2_and_nothing_written(
         self, synth_dir, tmp_path
@@ -530,9 +530,26 @@ def one_per_mode(tmp_path_factory):
     return data
 
 
+def scale_trial(source, data, trial, columns, factor):
+    """Copy the trial CSVs in source to data, with some data columns of one trial times factor."""
+    shutil.copytree(source, data)
+    path = sorted(data.glob("*.csv"))[trial]
+    meta, header, *rows = path.read_text().splitlines()
+    for i, row in enumerate(rows):
+        time_s, *cells = row.split(",")
+        cells = [repr(float(v) * factor) if c in columns else v for c, v in enumerate(cells)]
+        rows[i] = ",".join([time_s, *cells])
+    path.write_text("\n".join([meta, header, *rows]) + "\n")
+
+
+def refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 class TestNonFiniteMetrics:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("factor", [1e200, 1e160])
+    # numpy's RuntimeWarnings used to reach stderr ahead of the error line
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("factor", [1e300, 1e200, 1e160])
     @pytest.mark.parametrize("model", ["linear", "mlp", "svr"])
     def test_huge_trial_exits_1_naming_fold_target_and_metric(
         self, capsys, tmp_path, one_per_mode, model, factor
@@ -540,13 +557,7 @@ class TestNonFiniteMetrics:
         # one trial's four data columns times factor: its R^2 used to overflow a
         # Python float (1e200) or reach report.json as NaN and Infinity (1e160)
         data = tmp_path / "data"
-        shutil.copytree(one_per_mode, data)
-        path = sorted(data.glob("*.csv"))[0]
-        meta, header, *rows = path.read_text().splitlines()
-        for i, row in enumerate(rows):
-            time_s, *cells = row.split(",")
-            rows[i] = ",".join([time_s] + [repr(float(v) * factor) for v in cells])
-        path.write_text("\n".join([meta, header, *rows]) + "\n")
+        scale_trial(one_per_mode, data, 0, range(4), factor)
         code, err = main_in_process(
             capsys, "loocv", "--data", str(data), "--model", model,
             "--out", str(tmp_path / "rep"), "--override", "epochs=2",
@@ -557,6 +568,35 @@ class TestNonFiniteMetrics:
                             r"(theta|tau) is (nan|-?inf)", line)
         assert "Traceback" not in line
         assert not (tmp_path / "rep" / "report.json").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        model=st.sampled_from(["linear", "mlp", "svr"]),
+        trial=st.integers(0, len(MODES) - 1),
+        columns=st.sets(st.integers(0, 3), min_size=1),
+        factor=st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e308])
+        | st.integers(-307, 308).map(lambda k: float(f"1e{k}")),
+    )
+    def test_any_scale_of_a_trial_exits_cleanly(
+        self, capsys, tmp_path, one_per_mode, model, trial, columns, factor
+    ):
+        # a run may succeed or fail, but a failure is one error line, no
+        # RuntimeWarning comes first, and a report holds no NaN or Infinity
+        run = Path(tempfile.mkdtemp(dir=tmp_path))
+        scale_trial(one_per_mode, run / "data", trial, columns, factor)
+        code, err = main_in_process(
+            capsys, "loocv", "--data", str(run / "data"), "--model", model,
+            "--out", str(run / "rep"), "--override", "epochs=2",
+        )
+        assert code in (0, 1, 2)
+        if code:
+            [line] = err
+            assert line.startswith("error: ")
+        report = run / "rep" / "report.json"
+        if code == 0 or report.exists():
+            json.loads(report.read_text(), parse_constant=refuse_constant)
 
 
 def write_trials(directory, specs):

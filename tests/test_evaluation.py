@@ -165,6 +165,24 @@ class TestRunLoocv:
         with pytest.raises(TrainError, match="fold 0"):
             run_loocv(small_dataset, "mlp", diverging)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_linear_factor_overflow_names_its_trial(self, small_dataset, small_config, monkeypatch):
+        import gaitreg.evaluation as evaluation
+        from gaitreg.errors import TrainError
+
+        original = evaluation.feature_rows
+
+        def huge(*args):
+            x, y, bounds = original(*args)
+            x = x.copy()
+            x[bounds[2] : bounds[3], 0] = 1e308  # finite, but its column norm is not
+            return x, y, bounds
+
+        monkeypatch.setattr(evaluation, "feature_rows", huge)
+        trial_id = small_dataset.trials[2].trial_id
+        with pytest.raises(TrainError, match=f"trial '{trial_id}': its least-squares factor"):
+            run_loocv(small_dataset, "linear", small_config)
+
     def test_svr_grid_config_selects_and_echoes(self, small_dataset, small_config, monkeypatch):
         import gaitreg.evaluation as evaluation
         import gaitreg.preprocessing as preprocessing
@@ -242,8 +260,7 @@ class TestRunLoocv:
             assert np.array_equal(y_train, np.concatenate([y for _, y in others]))
             assert np.array_equal(x_test, apply_normalization(x_held, params))
             assert contiguous
-            assert np.array_equal(scalings[k].mins, params.mins)
-            assert np.array_equal(scalings[k].maxs, params.maxs)
+            assert np.array_equal(scalings[k], params)
 
     def test_pool_workers_bounded_by_chunks(self, small_dataset, small_config, monkeypatch):
         import concurrent.futures

@@ -54,7 +54,7 @@ class TestForward:
             [np.zeros((4, 6)), np.zeros((2, 4))],
             [np.zeros(4), np.zeros(2)],
         )
-        assert np.array_equal(forward(model, np.ones(6)), np.zeros(2))
+        assert np.array_equal(forward(model, np.ones((1, 6))), np.zeros((1, 2)))
 
     def test_single_unit_degenerate_net(self):
         # only hidden unit 0 is wired: output = w_out * relu(w_in . x + b)
@@ -65,9 +65,9 @@ class TestForward:
         model.biases[0][0] = 0.25
         model.weights[1][0, 0] = -3.0
         model.biases[1][0] = 1.0
-        x = np.array([1.0, 2.0, 0.5])
+        x = np.array([[1.0, 2.0, 0.5]])
         scalar = -3.0 * max(0.5 * 1 - 1.0 * 2 + 2.0 * 0.5 + 0.25, 0.0) + 1.0
-        assert forward(model, x)[0] == pytest.approx(scalar, abs=1e-15)
+        assert forward(model, x)[0, 0] == pytest.approx(scalar, abs=1e-15)
 
     def test_matches_independent_scalar_evaluator(self):
         model = init((6, 10, 7, 2), 11)
@@ -83,12 +83,16 @@ class TestForward:
         x, _ = random_batch(22, n=4)
         batched = forward(model, x)
         for row in range(4):
-            assert np.abs(forward(model, x[row]) - batched[row]).max() < 1e-13
+            assert np.abs(forward(model, x[row : row + 1])[0] - batched[row]).max() < 1e-13
+
+    def test_one_input_vector_refused_naming_its_shape(self):
+        with pytest.raises(ConfigError, match=r"\(6,\)"):
+            forward(init((6, 4, 2), 1), np.zeros(6))
 
     def test_non_finite_input_rejected(self):
         model = init((6, 4, 2), 1)
         with pytest.raises(TrainError, match="non-finite"):
-            forward(model, np.array([np.nan, 0, 0, 0, 0, 0]))
+            forward(model, np.array([[np.nan, 0, 0, 0, 0, 0]]))
 
 
 class TestLossAndGradient:
@@ -171,11 +175,10 @@ class TestSgdStep:
 
 class TestTrain:
     def test_trace_length_and_decrease(self, small_dataset, small_config):
-        from gaitreg import ButterworthFilter, build_features
+        from gaitreg.preprocessing import apply_normalization, feature_rows, fit_normalization
 
-        inputs, targets = build_features(
-            small_dataset, ButterworthFilter.design(6.0, 200.0, 4)
-        )
+        inputs, targets, _ = feature_rows(small_dataset, 6.0, 4)
+        inputs = apply_normalization(inputs, fit_normalization(inputs))
         model = init((6, 30, 2), 15)
         cfg = TrainConfig(epochs=30)
         model, trace = train(model, inputs, targets, cfg)

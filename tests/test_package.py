@@ -26,7 +26,6 @@ PUBLIC_NAMES = [
     "ButterworthFilter",
     "RunConfig",
     "SynthConfig",
-    "build_features",
     "emit_report",
     "generate",
     "ground_truth",
@@ -59,19 +58,28 @@ def referenced_names(path):
     }
 
 
+def public_defs(path):
+    """(qualified name, name) of each public function, and each public method or property."""
+    body = ast.parse(path.read_text(encoding="utf-8")).body
+    classes = [node for node in body if isinstance(node, ast.ClassDef)]
+    scopes = [(path.stem, body), *((f"{path.stem}.{c.name}", c.body) for c in classes)]
+    return [
+        (f"{scope}.{node.name}", node.name)
+        for scope, nodes in scopes
+        for node in nodes
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
 def test_every_public_function_has_a_caller_outside_tests():
-    # a function that only tests call is dead code; give it a caller or delete it
+    # a function, method or property that only tests call is dead code; give it a
+    # caller or delete it
     package = sorted(Path(gaitreg.__file__).parent.glob("*.py"))
     callers = [*package, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     used = set().union(*map(referenced_names, callers))
-    defined = [
-        (path.stem, node.name)
-        for path in package
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-    ]
-    assert defined
-    assert [f"{module}.{name}" for module, name in defined if name not in used] == []
+    defined = [pair for path in package for pair in public_defs(path)]
+    assert any(qualified.count(".") == 2 for qualified, _ in defined)  # methods are checked
+    assert [qualified for qualified, name in defined if name not in used] == []
 
 
 @pytest.mark.parametrize(

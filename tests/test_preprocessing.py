@@ -14,15 +14,9 @@ from oracles import (
     sosfilt_loop,
 )
 
-from gaitreg import (
-    ButterworthFilter,
-    build_features,
-    lowpass_zero_phase,
-    spectral_energy_fraction,
-)
+from gaitreg import ButterworthFilter, lowpass_zero_phase, spectral_energy_fraction
 from gaitreg.errors import ConfigError, PreprocessError
 from gaitreg.preprocessing import (
-    NormalizationParams,
     _zero_phase,
     apply_normalization,
     feature_rows,
@@ -305,12 +299,31 @@ class TestDerivatives:
                 assert np.array_equal(v, np.gradient(x, dt, edge_order=1))
                 assert np.array_equal(acc, np.gradient(v, dt, edge_order=1))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "hips",
+        [
+            (0.0, 1e308),  # b's derivatives overflow
+            (1.7e308, -1.5e308),  # finite values, but the column's range overflows
+        ],
+    )
+    def test_overflow_is_refused_naming_the_largest_trial(self, filt, hips):
+        phase = np.linspace(0.0, 2.0 * pi, 48)
+        fast = np.sin(phase)
+        trials = [
+            GaitTrial(name, "NormalWalk", FS, hip * fast if name == "b" else np.full(48, hip),
+                      fast, np.cos(phase), fast)
+            for name, hip in zip("ab", hips)
+        ]
+        largest = "ab"[int(abs(hips[1]) > abs(hips[0]))]
+        with pytest.raises(PreprocessError, match=f"trial '{largest}': a feature value or range"):
+            feature_rows(trials, filt.cutoff_hz, filt.order)
+
 
 class TestNormalization:
     def test_fit_min_max(self):
         params = fit_normalization(np.array([[2.0, 0.0], [4.0, 0.5], [6.0, 1.0]]))
-        assert params.mins.tolist() == [2.0, 0.0]
-        assert params.maxs.tolist() == [6.0, 1.0]
+        assert params.tolist() == [[2.0, 0.0], [6.0, 1.0]]
 
     def test_unit_interval_identity(self):
         rows = np.array([[0.0], [0.25], [1.0]])
@@ -318,7 +331,7 @@ class TestNormalization:
         assert np.array_equal(out, rows)
 
     def test_value_eight_with_range_two_six(self):
-        params = NormalizationParams(np.array([2.0]), np.array([6.0]))
+        params = np.array([[2.0], [6.0]])
         assert apply_normalization(np.array([[8.0]]), params)[0, 0] == 1.5
         assert apply_normalization(np.array([[2.0]]), params)[0, 0] == 0.0
 
@@ -328,14 +341,14 @@ class TestNormalization:
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_held_out_rows_not_clamped(self):
-        params = NormalizationParams(np.zeros(1), np.ones(1))
+        params = np.array([[0.0], [1.0]])
         out = apply_normalization(np.array([[2.0], [-1.0]]), params)
         assert out.ravel().tolist() == [2.0, -1.0]
 
     def test_degenerate_columns_map_to_zero(self):
         rows = np.array([[1.0, 5.0], [1.0, 7.0]])
-        params = fit_normalization(rows)
-        assert params.degenerate.tolist() == [True, False]
+        lo, hi = params = fit_normalization(rows)
+        assert (hi == lo).tolist() == [True, False]
         out = apply_normalization(np.array([[3.0, 6.0]]), params)
         assert out[0, 0] == 0.0 and out[0, 1] == 0.5
 
@@ -360,13 +373,13 @@ class TestNormalization:
         assert np.all(s[:, 2] == 0.0) and s[6, 6] == 1.0
 
     def test_two_identical_rows_all_degenerate(self):
-        params = fit_normalization(np.tile([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]], (2, 1)))
-        assert params.degenerate.all()
+        lo, hi = fit_normalization(np.tile([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]], (2, 1)))
+        assert (hi == lo).all()
 
     def test_inverse_roundtrip(self):
         rows = np.random.default_rng(2).normal(size=(30, 6)) * 25 + 3
-        params = fit_normalization(rows)
-        back = apply_normalization(rows, params) * (params.maxs - params.mins) + params.mins
+        lo, hi = params = fit_normalization(rows)
+        back = apply_normalization(rows, params) * (hi - lo) + lo
         assert np.abs(back - rows).max() < 1e-12
 
     @given(
@@ -377,13 +390,13 @@ class TestNormalization:
     )
     def test_round_trip_unit_interval_and_degenerate_columns(self, rows, flat):
         rows[:, flat] = rows[0, flat]
-        params = fit_normalization(rows)
+        lo, hi = params = fit_normalization(rows)
         out = apply_normalization(rows, params)
-        degenerate = params.degenerate
+        degenerate = hi == lo
         assert degenerate[flat].all()
         assert np.all(out[:, degenerate] == 0.0)
         assert out.min() >= 0.0 and out.max() <= 1.0
-        back = out * (params.maxs - params.mins) + params.mins
+        back = out * (hi - lo) + lo
         scale = max(1.0, float(np.abs(rows).max()))
         assert np.abs(back - rows).max() <= 1e-12 * scale
 
@@ -414,22 +427,23 @@ class TestSpectralEnergy:
         assert mine == pytest.approx(ref, abs=1e-9)
 
 
-class TestBuildFeatures:
+class TestFeatureStack:
     def test_shape_contract(self, small_dataset, filt):
-        inputs, targets = build_features(small_dataset, filt)
+        inputs, targets, _ = feature_rows(small_dataset, filt.cutoff_hz, filt.order)
+        inputs = apply_normalization(inputs, fit_normalization(inputs))
         assert inputs.shape == (small_dataset.total_rows(), 6)
         assert targets.shape == (small_dataset.total_rows(), 2)
         assert inputs.min() >= 0.0 and inputs.max() <= 1.0
 
     def test_trial_features_per_trial(self, small_dataset, filt):
-        _, stacked_targets = build_features(small_dataset, filt)
+        _, stacked_targets, _ = feature_rows(small_dataset, filt.cutoff_hz, filt.order)
         targets = []
         for trial in small_dataset:
             inputs, trial_targets = trial_features(trial, filt)
             assert inputs.shape == (trial.n_samples, 6)
             assert trial_targets.shape == (trial.n_samples, 2)
             targets.append(trial_targets)
-        # build_features stacks the trials' rows in dataset order
+        # feature_rows stacks the trials' rows in dataset order
         assert np.array_equal(stacked_targets, np.concatenate(targets))
 
     def test_velocity_matches_analytic_derivative(self, filt):

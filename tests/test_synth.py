@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from gaitreg import (
-    ButterworthFilter,
     SynthConfig,
-    build_features,
     generate,
     ground_truth,
     linear_fit,
@@ -15,7 +13,7 @@ from gaitreg import (
 )
 from gaitreg.data import MODES
 from gaitreg.errors import ConfigError, PipelineError
-from gaitreg.preprocessing import feature_rows
+from gaitreg.preprocessing import apply_normalization, feature_rows, fit_normalization
 from gaitreg.synth import LINEAR_INTERCEPT, LINEAR_WEIGHTS
 
 
@@ -134,8 +132,8 @@ class TestLinearMode:
     def test_exact_affine_recovery(self):
         config = SynthConfig(noise_std_deg=0.0, linear_mode=True)
         dataset = generate(config)
-        filt = ButterworthFilter.design(6.0, 200.0, 4)
-        inputs, targets = build_features(dataset, filt, filter_targets=False)
+        inputs, targets, _ = feature_rows(dataset, 6.0, 4, filter_targets=False)
+        inputs = apply_normalization(inputs, fit_normalization(inputs))
         model = linear_fit(inputs, targets)
         residual = linear_predict(model, inputs) - targets
         assert np.abs(residual).max() < 1e-9
