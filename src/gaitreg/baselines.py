@@ -71,14 +71,18 @@ def _least_squares(design: np.ndarray, y: np.ndarray, n_rows: int) -> LinearMode
 
     design may be the design itself or a shorter matrix with the same
     singular values (see linear_fit_factored), so the cut is taken from
-    n_rows, not from design's own row count.
+    n_rows, not from design's own row count.  A non-finite design is
+    refused here, as LAPACK would print a complaint about it to stdout.
     """
     cols = design.shape[1]
+    failed = f"least squares failed on a ({n_rows}, {cols}) design"
+    if not np.isfinite(design).all():
+        raise TrainError(f"{failed}: it holds a non-finite value")
     rcond = np.finfo(np.float64).eps * max(n_rows, cols)
     try:
         coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=rcond)
     except np.linalg.LinAlgError as exc:
-        raise TrainError(f"least squares failed on a ({n_rows}, {cols}) design: {exc}") from None
+        raise TrainError(f"{failed}: {exc}") from None
     if rank < cols:
         warnings.warn(
             f"rank-deficient design (rank {rank} < {cols}); returning the minimum-norm solution",
@@ -91,8 +95,8 @@ def linear_fit(x: np.ndarray, y: np.ndarray) -> LinearModel:
     """Least squares via orthogonal decomposition (numpy lstsq / SVD).
 
     Rank-deficient designs fall back to the minimum-norm solution with a
-    warning instead of failing.  A design LAPACK cannot decompose (one holding
-    NaN, say) raises TrainError.
+    warning instead of failing.  A design holding NaN or infinity, or one
+    LAPACK cannot decompose, raises TrainError.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

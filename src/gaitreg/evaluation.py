@@ -311,10 +311,10 @@ def run_loocv(
             },
         }
 
-    y_true_all = np.concatenate([f.y_true for f in folds])
+    # folds come back in dataset order and each y_true is its slice of y_all
     y_pred_all = np.concatenate([f.y_pred for f in folds])
     try:
-        r2, err = _scores(y_true_all, y_pred_all)
+        r2, err = _scores(y_all, y_pred_all)
     except MetricError as exc:
         raise MetricError(f"pooled over every fold: {exc}") from None
     return EvalReport(

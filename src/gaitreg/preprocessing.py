@@ -10,12 +10,13 @@ training fold's [0, 1] range.  Targets stay in degrees and newton-meters.
 
 All zero-phase filtering goes through one batched core: every signal that
 shares a sample rate is reflect-padded into a column of one matrix, and
-the recurrence steps down all columns a row at a time, so a whole dataset
-costs one Python-level loop per pass instead of one per signal, with the
-same bits as filtering each signal alone.  feature_rows designs the
-low-pass once per sample rate from a cutoff and an order, builds every
-trial's unscaled rows this way into one stack, and differentiates the
-filtered angles of all trials in one pass over it (np.gradient's central
+the recurrence steps down all columns a row at a time, in place, so a
+whole dataset costs one Python-level loop per pass instead of one per
+signal, with the same bits as filtering each signal alone.  feature_rows
+designs the low-pass once per sample rate from a cutoff and an order,
+copies each trial's filtered columns straight out of the matrix into one
+stack of rows, drops the matrix, and differentiates the filtered angles
+of all trials in one pass over the stack (np.gradient's central
 differences, one-sided at each trial's ends).  It is the one place input
 rows are built: run_loocv, trial_features and synth's linear_mode targets
 all read it.  A min-max scaling is the (2, d) array of its column minima
@@ -123,41 +124,38 @@ class ButterworthFilter:
         return abs(h)
 
 
-def _sosfilt_rows(sections, x: np.ndarray) -> np.ndarray:
-    """Apply the cascade causally down every column (direct form II transposed).
+def _sosfilt_rows(sections, y: np.ndarray) -> None:
+    """Apply the cascade causally down every column of y, in place (direct form II transposed).
 
     Each section starts every column in its step-response steady state for
     the column's first sample, so a constant signal passes through exactly
     unchanged.  Row i is one time step of all columns at once; each column
-    sees the same scalar arithmetic, in the same order, as a one-signal loop.
+    sees the same scalar arithmetic, in the same order, as a one-signal
+    loop.  A row's output goes to one row buffer and then over the row,
+    once the state update has read its input, so no matrix is allocated.
     """
-    y = x
+    buf = np.empty(y.shape[1])
     for b0, b1, b2, a1, a2 in sections:
         gain = (b0 + b1 + b2) / (1.0 + a1 + a2)
         s1 = (gain - b0) * y[0]
         s2 = (b2 - a2 * gain) * y[0]
-        out = np.empty_like(y)
-        for xi, yi in zip(y, out):
-            np.multiply(b0, xi, out=yi)
-            yi += s1
-            s1 = b1 * xi - a1 * yi + s2
-            s2 = b2 * xi - a2 * yi
-        y = out
-    return y
+        for xi in y:
+            np.multiply(b0, xi, out=buf)
+            buf += s1
+            s1 = b1 * xi - a1 * buf + s2
+            s2 = b2 * xi - a2 * buf
+            xi[:] = buf
 
 
-def _zero_phase(signals, filt: ButterworthFilter, width: int = 1) -> np.ndarray:
+def _zero_phase(signals, filt: ButterworthFilter) -> np.ndarray:
     """lowpass_zero_phase of every signal, in one batched pass per direction.
 
-    signals come in runs of width equal-length signals (one trial's
-    columns, which GaitTrial makes equal in length); the result stacks
-    each run's filtered samples as rows of width columns, so it has shape
-    (total run length, width).  The reflect-padded signals become the
-    columns of one left-aligned (L, m) matrix, gathered from their
-    concatenation in one step.  The backward pass reverses each column's
-    own padded prefix with a gather, and one last gather reads every run's
-    trimmed samples back in forward order.  Rows past a column's padded
-    length carry junk that is never read.
+    Each signal is reflect-padded by pad = 3 * order into its own column of
+    one top-aligned (L, m) matrix, with slices.  The matrix is filtered in
+    place, each column's padded prefix is reversed in place, and the
+    matrix is filtered again and returned: signal j's filtered sample i
+    sits at row len(x_j) + pad - 1 - i.  Rows past a column's padded length
+    start as zeros and are never read.
     """
     pad = 3 * filt.order
     xs = []
@@ -170,33 +168,18 @@ def _zero_phase(signals, filt: ButterworthFilter, width: int = 1) -> np.ndarray:
                 f"signal of length {len(x)} too short to filter; need >= {pad} (3 x order)"
             )
         xs.append(x)
-    n = np.array([len(x) for x in xs])
-    m = len(xs)
-    padded = n + 2 * pad
-    rows = np.arange(padded.max())[:, None]
-    # each gather's (L, m) index matrix is built in place and freed before
-    # the pass that follows, so a pass holds three (L, m) matrices at most
-    at = 2 * n + pad - 1 - rows  # each padded row's sample, reflected at both ends
-    np.minimum(at, np.maximum(rows - pad, pad - 1 - rows), out=at)
-    np.maximum(at, 0, out=at)
-    at += np.cumsum(n) - n
-    y = np.concatenate(xs).take(at)
-    del at
-    y = _sosfilt_rows(filt.sections, y)
-    rev = padded - 1 - rows
-    np.copyto(rev, rows, where=rows >= padded)
-    rev *= m  # flat index into the C-ordered matrix: row * m + column
-    rev += np.arange(m)
-    y = y.take(rev)
-    del rev
-    y = _sosfilt_rows(filt.sections, y)
-    # sample j of a run of length r sits at reversed row r + pad - 1 - j; as
-    # stacked row s of a run whose rows end before row e, at e + pad - 1 - s
-    runs = n[::width]
-    ends = np.cumsum(runs)
-    rev_rows = np.repeat(ends + pad - 1, runs) - np.arange(ends[-1])
-    run_cols = np.repeat(np.arange(0, m, width), runs)
-    return y.take((rev_rows * m + run_cols)[:, None] + np.arange(width))
+    y = np.zeros((max(map(len, xs)) + 2 * pad, len(xs)))
+    for j, x in enumerate(xs):
+        n = len(x)
+        y[:pad, j] = x[pad - 1 :: -1]  # reflections include the edge sample
+        y[pad : n + pad, j] = x
+        y[n + pad : n + 2 * pad, j] = x[: -pad - 1 : -1]
+    _sosfilt_rows(filt.sections, y)
+    for j, x in enumerate(xs):
+        column = y[: len(x) + 2 * pad, j]
+        column[:] = column[::-1]
+    _sosfilt_rows(filt.sections, y)
+    return y
 
 
 def lowpass_zero_phase(signal: np.ndarray, filt: ButterworthFilter) -> np.ndarray:
@@ -205,7 +188,8 @@ def lowpass_zero_phase(signal: np.ndarray, filt: ButterworthFilter) -> np.ndarra
     Edges are handled by reflection (edge sample included) of length
     3 * order on each side, removed after the two passes.
     """
-    return _zero_phase([signal], filt)[:, 0]
+    pad = 3 * filt.order
+    return _zero_phase([signal], filt)[-pad - 1 : pad - 1 : -1, 0]
 
 
 def _gradient(f: np.ndarray, bounds, dt: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -312,11 +296,13 @@ def feature_rows(
     inputs is (n, 6) and targets (n, 2); trial i owns rows bounds[i] to
     bounds[i + 1].  The low-pass is designed here, once per sample rate,
     and the trials sharing a rate are filtered together in one batched
-    zero-phase pass; the filtered angles of all trials are then
-    differentiated in one pass.  A trial too short for the filter's
-    padding, the first trial at a rate the design refuses, and the trial of
-    largest magnitude when a value or the range of all values overflows
-    are named; a finite overall range keeps every column's scaling finite.
+    zero-phase pass, whose matrix each trial's rows are copied out of; the
+    filtered angles of all trials are then differentiated in one pass.
+    Beside the outputs, the call holds one padded matrix at a time.  A
+    trial too short for the filter's padding, the first trial at a rate the
+    design refuses, and the trial of largest magnitude when a value or the
+    range of all values overflows are named; a finite overall range keeps
+    every column's scaling finite.
     """
     trials = list(trials)
     pad = 3 * order
@@ -328,32 +314,28 @@ def feature_rows(
         )
     lengths = [t.n_samples for t in trials]
     bounds = np.cumsum([0] + lengths).tolist()
-    rates = np.repeat([t.sample_rate_hz for t in trials], lengths)
+    columns = [(t.theta_hip, t.theta_knee, t.theta_ankle, t.tau_ankle) for t in trials]
     width = 4 if filter_targets else 2
-    filtered = np.empty((bounds[-1], width))
+    inputs = np.empty((bounds[-1], 6))
+    targets = np.empty((bounds[-1], 2))
     for rate in dict.fromkeys(t.sample_rate_hz for t in trials):
-        group = [t for t in trials if t.sample_rate_hz == rate]
+        group = [i for i, t in enumerate(trials) if t.sample_rate_hz == rate]
         try:
             filt = ButterworthFilter.design(cutoff_hz, rate, order)
         except ConfigError as exc:
-            raise ConfigError(f"trial {group[0].trial_id!r}: {exc}") from None
-        signals = []
-        for t in group:
-            signals += [t.theta_hip, t.theta_knee, t.theta_ankle, t.tau_ankle][:width]
-        filtered[rates == rate] = _zero_phase(signals, filt, width)
+            raise ConfigError(f"trial {trials[group[0]].trial_id!r}: {exc}") from None
+        filtered = _zero_phase([c for i in group for c in columns[i][:width]], filt)
+        for j, i in enumerate(group):
+            a, b = bounds[i], bounds[i + 1]
+            # the trial's sample s sits at row (b - a) + pad - 1 - s of its columns
+            rows = filtered[b - a + pad - 1 : pad - 1 : -1, j * width : (j + 1) * width]
+            inputs[a:b, 0::3] = rows[:, :2]
+            targets[a:b] = rows[:, 2:] if filter_targets else np.column_stack(columns[i][2:])
+        del filtered, rows  # so at most one matrix is alive, and none while differentiating
     # [theta, dtheta, ddtheta] per joint, each trial differentiated on its own
-    inputs = np.empty((bounds[-1], 6))
-    inputs[:, 0::3] = filtered[:, :2]
-    dt = (1.0 / rates)[:, None]
+    dt = (1.0 / np.repeat([t.sample_rate_hz for t in trials], lengths))[:, None]
     _gradient(inputs[:, 0::3], bounds, dt, out=inputs[:, 1::3])
     _gradient(inputs[:, 1::3], bounds, dt, out=inputs[:, 2::3])
-    if filter_targets:
-        targets = filtered[:, 2:].copy()
-    else:
-        targets = np.column_stack(
-            [np.concatenate([t.theta_ankle for t in trials]),
-             np.concatenate([t.tau_ankle for t in trials])]
-        )
     if not all(np.isfinite(a.max() - a.min()) for a in (inputs, targets)):
         size = np.maximum(np.abs(inputs).max(axis=1), np.abs(targets).max(axis=1))
         big = trials[np.searchsorted(bounds, size.argmax(), side="right") - 1]

@@ -82,11 +82,13 @@ class TestLinearFit:
             model = linear_fit(x, np.arange(10.0)[:, None])
         assert np.all(np.isfinite(model.weights))
 
-    def test_lapack_failure_raises_train_error(self):
+    def test_lapack_failure_raises_train_error(self, capfd):
         x = SplitMix64(4).uniform_block(60).reshape(10, 6)
         x[3, 2] = np.nan
         with pytest.raises(TrainError, match=r"least squares failed on a \(10, 7\) design"):
             linear_fit(x, np.arange(10.0)[:, None])
+        # LAPACK's complaint about a NaN would go straight to file descriptor 1
+        assert capfd.readouterr() == ("", "")
 
     def test_bit_identical_to_lstsq_with_default_rcond(self):
         stream = SplitMix64(5)
@@ -137,12 +139,13 @@ class TestLinearFitFactored:
         assert np.abs(model.weights[:, 2]).max() < 1e-12  # the minimum-norm share
         np.testing.assert_allclose(model.weights, reference.weights, rtol=1e-10, atol=1e-12)
 
-    def test_lapack_failure_raises_train_error_naming_the_rows(self):
+    def test_lapack_failure_raises_train_error_naming_the_rows(self, capfd):
         x, y = self._problem(5)
         x[3, 2] = np.nan
         factors = np.stack([linear_factor(xb, yb) for xb, yb in split_blocks(x, y, self.SIZES)])
         with pytest.raises(TrainError, match=r"least squares failed on a \(96, 7\) design"):
             linear_fit_factored(factors, len(x), np.eye(7))
+        assert capfd.readouterr() == ("", "")
 
 
 def random_rows(n, d, copies):

@@ -599,6 +599,61 @@ class TestNonFiniteMetrics:
             json.loads(report.read_text(), parse_constant=refuse_constant)
 
 
+def edit_trial(source, data, trial, edit, row, other, byte):
+    """Copy the trial CSVs in source to data, with one trial's rows or bytes edited.
+
+    edit drops the data row at index row, duplicates it, or swaps it with
+    another row; "byte" overwrites the file's byte at offset row with byte,
+    which is never valid UTF-8 there.
+    """
+    shutil.copytree(source, data)
+    path = sorted(data.glob("*.csv"))[trial]
+    if edit == "byte":
+        raw = path.read_bytes()
+        at = row % len(raw)
+        path.write_bytes(raw[:at] + bytes([byte]) + raw[at + 1 :])
+        return
+    meta, header, *rows = path.read_text().splitlines()
+    i = min(row, len(rows) - 1)  # large draws drop, duplicate or swap the last row
+    if edit == "drop":
+        del rows[i]
+    elif edit == "duplicate":
+        rows.insert(i, rows[i])
+    else:
+        j = (i + 1 + other % (len(rows) - 1)) % len(rows)  # never i
+        rows[i], rows[j] = rows[j], rows[i]
+    path.write_text("\n".join([meta, header, *rows]) + "\n")
+
+
+class TestEditedRows:
+    # each example runs every model, so each edit reaches each model
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("edit", ["drop", "duplicate", "swap", "byte"])
+    @settings(max_examples=5, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        trial=st.integers(0, len(MODES) - 1),
+        row=st.integers(0, 20_000),
+        other=st.integers(0, 1_000),
+        byte=st.sampled_from([0x80, 0xC3, 0xFF]),
+    )
+    def test_a_dropped_duplicated_or_swapped_row_or_a_bad_byte_exits_cleanly(
+        self, capsys, tmp_path, one_per_mode, edit, trial, row, other, byte
+    ):
+        run = Path(tempfile.mkdtemp(dir=tmp_path))
+        edit_trial(one_per_mode, run / "data", trial, edit, row, other, byte)
+        for model in ("linear", "mlp", "svr"):
+            code, err = main_in_process(
+                capsys, "loocv", "--data", str(run / "data"), "--model", model,
+                "--out", str(run / model), "--override", "epochs=2",
+            )
+            assert code in (0, 1, 2)
+            assert not any("Traceback" in line or "RuntimeWarning" in line for line in err)
+            if code:
+                [line] = err
+                assert line.startswith("error: ")
+
+
 def write_trials(directory, specs):
     """One trial CSV per (trial_id, sample_rate_hz, n_samples) spec."""
     directory.mkdir()

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from math import pi
 
 import numpy as np
@@ -232,9 +233,10 @@ def trial_blocks(trials, filt, filter_targets=True):
     return [(inputs[a:b], targets[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-def split_runs(stacked, lengths):
-    """The one-column _zero_phase stack cut back into its signals."""
-    return np.split(stacked[:, 0], np.cumsum(lengths)[:-1])
+def split_runs(matrix, lengths, order):
+    """Each signal's filtered samples, read out of its _zero_phase column in time order."""
+    pad = 3 * order
+    return [matrix[n + pad - 1 : pad - 1 : -1, j] for j, n in enumerate(lengths)]
 
 
 class TestBatchedFilter:
@@ -258,7 +260,7 @@ class TestBatchedFilter:
         stream = np.random.default_rng(order)
         lengths = [3 * order, 3 * order + 1, 50, 3 * order + 2, 121]
         signals = [np.cumsum(stream.standard_normal(n)) for n in lengths]
-        for x, y in zip(signals, split_runs(_zero_phase(signals, filt), lengths)):
+        for x, y in zip(signals, split_runs(_zero_phase(signals, filt), lengths, order)):
             assert np.array_equal(y, loop_zero_phase(filt.sections, x, order))
 
     def test_two_sample_rates_keep_dataset_order(self, filt):
@@ -283,7 +285,7 @@ class TestBatchedFilter:
         stream = np.random.default_rng(seed)
         signals = [stream.standard_normal(3 * order + k) * 10.0 for k in extra]
         lengths = [len(x) for x in signals]
-        for x, y in zip(signals, split_runs(_zero_phase(signals, filt), lengths)):
+        for x, y in zip(signals, split_runs(_zero_phase(signals, filt), lengths, order)):
             assert np.array_equal(y, loop_zero_phase(filt.sections, x, order))
 
 
@@ -445,6 +447,19 @@ class TestFeatureStack:
             targets.append(trial_targets)
         # feature_rows stacks the trials' rows in dataset order
         assert np.array_equal(stacked_targets, np.concatenate(targets))
+
+    def test_filter_holds_one_padded_matrix_beside_the_outputs(self, filt):
+        # 100 trials at one rate: one (L, 400) matrix, L the longest trial plus both pads
+        dataset = generate(SynthConfig(trials_per_mode={mode: 20 for mode in MODES}))
+        tracemalloc.start()
+        try:
+            inputs, targets, _ = feature_rows(dataset, filt.cutoff_hz, filt.order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix = (max(t.n_samples for t in dataset) + 6 * filt.order) * 4 * len(dataset) * 8
+        # a second matrix, or the matrix kept alive while differentiating, does not fit
+        assert peak < inputs.nbytes + targets.nbytes + 1.25 * matrix
 
     def test_velocity_matches_analytic_derivative(self, filt):
         # slow synthetic trial: the filter passes it, so the numerical
