@@ -32,6 +32,9 @@ training rows of a default fold), is the fit's only n x n allocation.
 Building it takes one more temporary, a 16-row block of 16 * n * 8 bytes
 (0.6 MB at the default scale).
 
+Every fit and predict takes x as rows and targets with as many rows (one
+value per row for svr_fit); errors.checked_rows refuses anything else.
+
 Least squares is one lstsq core behind two entry points: linear_fit on
 the rows, and linear_fit_factored on each block's [R | Q'y] from
 linear_factor.  A leave-one-out fold of the linear model reads 7 such rows
@@ -49,7 +52,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, TrainError
+from .errors import ConfigError, TrainError, checked_rows
 
 DEFAULT_SVR_C = 10.0
 DEFAULT_SVR_EPSILON = 0.01
@@ -95,13 +98,11 @@ def linear_fit(x: np.ndarray, y: np.ndarray) -> LinearModel:
     """Least squares via orthogonal decomposition (numpy lstsq / SVD).
 
     Rank-deficient designs fall back to the minimum-norm solution with a
-    warning instead of failing.  A design holding NaN or infinity, or one
-    LAPACK cannot decompose, raises TrainError.
+    warning instead of failing.  A design LAPACK cannot decompose raises
+    TrainError.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ConfigError(f"design {x.shape} and targets {y.shape} are not rows that align")
+    x = checked_rows(x, "x")
+    y = checked_rows(y, "y", (len(x), None))
     return _least_squares(np.column_stack([x, np.ones(len(x))]), y, len(x))
 
 
@@ -135,7 +136,7 @@ def linear_fit_factored(factors: np.ndarray, n_rows: int, scale: np.ndarray) -> 
 
 
 def linear_predict(model: LinearModel, x: np.ndarray) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64) @ model.weights.T + model.intercept
+    return checked_rows(x, "x", (None, model.weights.shape[1])) @ model.weights.T + model.intercept
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -180,14 +181,6 @@ def check_svr_settings(c, epsilon, gamma, tol, max_updates) -> None:
         raise ConfigError(f"gamma must be positive and finite, got {gamma}")
 
 
-def _checked_gamma(x, y, c, epsilon, gamma, tol, max_updates) -> float:
-    """The fit's gamma (1 / n_features by default), once its rows and settings are checked."""
-    if x.shape[0] < 1 or len(y) != x.shape[0]:
-        raise ConfigError(f"need matching x {x.shape} and y {y.shape}")
-    check_svr_settings(c, epsilon, gamma, tol, max_updates)
-    return 1.0 / x.shape[1] if gamma is None else gamma
-
-
 @dataclass(frozen=True)
 class SvrModel:
     """One fitted scalar-output epsilon-SVR."""
@@ -218,10 +211,11 @@ def svr_fit(
     kernel, if given, must be rbf_kernel(x, x, gamma), which the fit reads
     and never writes; fit_svr_baseline shares one between its targets.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).ravel()
-    n = x.shape[0]
-    gamma = _checked_gamma(x, y, c, epsilon, gamma, tol, max_updates)
+    x = checked_rows(x, "x")
+    y = checked_rows(y, "y", (len(x),))
+    n = len(x)
+    check_svr_settings(c, epsilon, gamma, tol, max_updates)
+    gamma = 1.0 / x.shape[1] if gamma is None else gamma
     if kernel is None:
         kernel = rbf_kernel(x, x, gamma)
     elif np.shape(kernel) != (n, n):
@@ -350,9 +344,7 @@ def svr_fit(
 
 def svr_predict(model: SvrModel, x: np.ndarray) -> np.ndarray:
     """f(x) = sum_i coef_i k(x_i, x) + b of each row x, over the stored support vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ConfigError(f"svr_predict takes rows, got shape {x.shape}")
+    x = checked_rows(x, "x", (None, model.support_vectors.shape[1]))
     if len(model.support_coef) == 0:
         return np.full(len(x), model.bias)
     return rbf_kernel(x, model.support_vectors, model.gamma) @ model.support_coef + model.bias
@@ -382,11 +374,10 @@ def fit_svr_baseline(
     tube width meaningful for targets in degrees and newton-meters alike.
     Every column is fitted on one shared kernel, the fit's only n x n array.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2:
-        raise ConfigError(f"need rows of inputs and targets, got x {x.shape} and y {y.shape}")
-    gamma = _checked_gamma(x, y, c, epsilon, gamma, tol, max_updates)
+    x = checked_rows(x, "x")
+    y = checked_rows(y, "y", (len(x), None))
+    check_svr_settings(c, epsilon, gamma, tol, max_updates)
+    gamma = 1.0 / x.shape[1] if gamma is None else gamma
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         mean = y.mean(axis=0)
         std = y.std(axis=0)

@@ -26,6 +26,8 @@ from .mlp import DEFAULT_LAYER_DIMS, TrainConfig
 from .preprocessing import DEFAULT_CUTOFF_HZ, DEFAULT_FILTER_ORDER
 from .synth import DEFAULT_TRIALS_PER_MODE, SynthConfig
 
+MAX_PHASE_BINS = 10_000  # each fold's phase curves hold phase_bins x 2 floats per trial
+
 # the JSON types each declared field type admits; bool is never a number
 _TYPES = {bool: bool, int: int, float: (int, float), dict: dict, list: list, tuple: (list, tuple)}
 
@@ -95,8 +97,8 @@ class RunConfig:
             raise ConfigError(f"filter_order must be >= 1, got {self.filter_order}")
         if not self.cutoff_hz > 0.0:
             raise ConfigError(f"cutoff_hz must be > 0, got {self.cutoff_hz}")
-        if self.phase_bins < 2:
-            raise ConfigError(f"phase_bins must be >= 2, got {self.phase_bins}")
+        if not 2 <= self.phase_bins <= MAX_PHASE_BINS:
+            raise ConfigError(f"phase_bins must be 2 to {MAX_PHASE_BINS}, got {self.phase_bins}")
         grids = (self.svr_grid_c, self.svr_grid_epsilon, self.svr_grid_gamma)
         if any(g is not None for g in grids) and not all(g for g in grids):
             raise ConfigError(

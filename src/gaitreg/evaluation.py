@@ -187,14 +187,6 @@ def _run_chunk(payload, indices: Sequence[int]) -> list[FoldResult]:
     return folds
 
 
-def _all_but_each(rows: np.ndarray, ufunc: np.ufunc, identity: float) -> np.ndarray:
-    """Row k: ufunc reduced over every row but k, from running prefix and suffix reductions."""
-    edge = np.full((1, rows.shape[1]), identity)
-    before = np.concatenate([edge, ufunc.accumulate(rows[:-1])])
-    after = np.concatenate([ufunc.accumulate(rows[:0:-1])[::-1], edge])
-    return ufunc(before, after)
-
-
 def run_loocv(
     dataset: GaitDataset, model_spec: str, config: RunConfig, jobs: int = 1
 ) -> EvalReport:
@@ -208,10 +200,9 @@ def run_loocv(
     held-out trial and its row span, and the min-max scaling that
     fit_normalization fits here on the training trials only (on all trials
     when config.paper_faithful_norm is set).  Each trial's column mins and
-    maxs are taken once (reduceat), and a fold's fit reads one 2-row block:
-    the running extrema of the trials before it combined with those of the
-    trials after it.  Min and max are exact, so the bits are those of a fit
-    on the training rows, at O(1) rows per fold.  For the linear model
+    maxs are taken once (reduceat), and a fold's fit reads the other
+    trials' min and max rows: min and max are exact, so the bits are those
+    of a fit on the training rows.  For the linear model
     each trial's unscaled block is also factored once (linear_factor, a
     7 x 9 [R | Q'y]), and a fold solves from the other trials' factors
     times its scaling matrix (linear_fit_factored): it reads no training
@@ -237,7 +228,8 @@ def run_loocv(
     spans = list(zip(bounds, bounds[1:]))
     mins = np.minimum.reduceat(x_all, bounds[:-1])
     maxs = np.maximum.reduceat(x_all, bounds[:-1])
-    pooled_params = fit_normalization(np.concatenate([mins, maxs]))
+    extrema = np.concatenate([mins, maxs])
+    pooled_params = fit_normalization(extrema)
     svr_grid = None
     if model_spec == "svr" and config.svr_grid_c is not None:
         (c, epsilon, gamma), fits, capped = grid_search_svr(
@@ -254,16 +246,11 @@ def run_loocv(
         svr_grid = {"fits": fits, "capped_fits": capped}
         # the folds, and the report's config echo, use the chosen values
         config = config.with_overrides({"svr_c": c, "svr_epsilon": epsilon, "svr_gamma": gamma})
-    # row k: the column extrema of every trial but k, for fold k's scaling
-    fold_extrema = np.stack(
-        [_all_but_each(mins, np.minimum, np.inf), _all_but_each(maxs, np.maximum, -np.inf)],
-        axis=1,
-    )
     records = []
     for k, (trial, (start, end)) in enumerate(zip(dataset, spans)):
         params = pooled_params
         if not config.paper_faithful_norm:
-            params = fit_normalization(fold_extrema[k])
+            params = fit_normalization(np.delete(extrema, [k, len(dataset) + k], axis=0))
         records.append((trial.trial_id, trial.mode, start, end, params))
     factors = None
     if model_spec == "linear":

@@ -14,6 +14,9 @@ with the penalty on weights only, biases excluded.  All randomness
 (initial weights, epoch shuffles) flows through gaitreg.rng streams; the
 rectifier subgradient at exactly 0 is taken as 0.
 
+forward, loss_and_gradient and train take x as rows of width layer_dims[0]
+and y as rows of width layer_dims[-1]; errors.checked_rows refuses anything else.
+
 train runs its own lean step instead of one loss_and_gradient + sgd_step
 pair per batch.  It keeps one flat float64 buffer each for the parameters,
 the gradients and the velocities (all weights, then all biases); the layers
@@ -34,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, TrainError
+from .errors import ConfigError, TrainError, checked_rows
 from .rng import SplitMix64, derive_seed
 
 DEFAULT_LAYER_DIMS = (6, 100, 100, 100, 2)
@@ -150,11 +153,7 @@ def _backward_layers(weights, acts, pres, deltas, grad_w, grad_b, l2_penalty) ->
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Evaluate the network on a batch of rows."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise TrainError("non-finite input to forward pass")
-    if x.ndim != 2 or x.shape[1] != model.layer_dims[0]:
-        raise ConfigError(f"input of shape {x.shape} is not rows of width {model.layer_dims[0]}")
+    x = checked_rows(x, "x", (None, model.layer_dims[0]))
     pres, acts, _ = _buffers(model.layer_dims, x.shape[0])
     acts[0] = x
     _forward_layers(model.weights, model.biases, acts, pres)
@@ -165,10 +164,8 @@ def loss_and_gradient(
     model: MlpModel, x: np.ndarray, y: np.ndarray, l2_penalty: float
 ) -> tuple[float, tuple[list[np.ndarray], list[np.ndarray]]]:
     """Objective and its gradient on one batch by reverse accumulation."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ConfigError(f"batch shapes {x.shape} / {y.shape} do not align")
+    x = checked_rows(x, "x", (None, model.layer_dims[0]))
+    y = checked_rows(y, "y", (len(x), model.layer_dims[-1]))
     n = x.shape[0]
     pres, acts, deltas = _buffers(model.layer_dims, n)
     acts[0] = x
@@ -219,12 +216,8 @@ def train(
     updated in place; after a TrainError they hold the weights from before
     the failing batch.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape[0] == 0:
-        raise ConfigError("training set is empty")
-    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ConfigError(f"training shapes {x.shape} / {y.shape} do not align")
+    x = checked_rows(x, "x", (None, model.layer_dims[0]))
+    y = checked_rows(y, "y", (len(x), model.layer_dims[-1]))
     n = x.shape[0]
     l2 = config.l2_penalty
     layers = len(model.weights)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from functools import partial
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import brute_force_svr_dual, masked_scan_smo, rbf, three_temporary_rbf_kernel
 
 import gaitreg.baselines as baselines
+import gaitreg.mlp as mlp
 from gaitreg import (
     ButterworthFilter,
     RunConfig,
@@ -81,14 +83,6 @@ class TestLinearFit:
         with pytest.warns(UserWarning, match="rank-deficient"):
             model = linear_fit(x, np.arange(10.0)[:, None])
         assert np.all(np.isfinite(model.weights))
-
-    def test_lapack_failure_raises_train_error(self, capfd):
-        x = SplitMix64(4).uniform_block(60).reshape(10, 6)
-        x[3, 2] = np.nan
-        with pytest.raises(TrainError, match=r"least squares failed on a \(10, 7\) design"):
-            linear_fit(x, np.arange(10.0)[:, None])
-        # LAPACK's complaint about a NaN would go straight to file descriptor 1
-        assert capfd.readouterr() == ("", "")
 
     def test_bit_identical_to_lstsq_with_default_rcond(self):
         stream = SplitMix64(5)
@@ -443,33 +437,12 @@ class TestStandardizedBaseline:
         # two kernels, or one built through n x n temporaries, reach 2-3 n^2 * 8
         assert peak < 1.25 * n * n * 8
 
-    @pytest.mark.parametrize(
-        "call, shape",
-        [
-            (lambda x: linear_fit(x, x[:, 0]), r"\(6,\)"),
-            (lambda x: fit_svr_baseline(x, x[:, 0]), r"\(6,\)"),
-            (lambda x: svr_predict(svr_fit(x, x[:, 0]), x[0]), r"\(2,\)"),
-        ],
-    )
-    def test_one_dimensional_input_refused_naming_its_shape(self, call, shape):
-        x = np.linspace(0.0, 1.0, 12).reshape(6, 2)
-        with pytest.raises(ConfigError, match=shape):
-            call(x)
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_target_deviation_overflow_refused_naming_the_column(self):
         x = np.linspace(0.0, 1.0, 12).reshape(6, 2)
         y = np.column_stack([x[:, 0], [1e200, -1e200] * 3])
         with pytest.raises(TrainError, match="target column 1's standard deviation overflows"):
             fit_svr_baseline(x, y)
-
-    def test_mismatched_targets_refused_before_the_kernel_build(self, monkeypatch):
-        def no_build(*args):
-            raise AssertionError("kernel built for an unusable fit")
-
-        monkeypatch.setattr(baselines, "rbf_kernel", no_build)
-        with pytest.raises(ConfigError, match="need matching x"):
-            fit_svr_baseline(np.zeros((6, 2)), np.zeros((5, 2)))
 
     @pytest.mark.parametrize("shape", [(5, 5), (6, 5), (36,)])
     def test_kernel_of_wrong_shape_refused(self, shape):
@@ -491,6 +464,101 @@ class TestStandardizedBaseline:
             warnings.simplefilter("error")  # no cap or invalid-value warning first
             with pytest.raises(ConfigError, match=named):
                 svr_fit(x, np.sin(4.0 * x[:, 0]), max_updates=500, **{name: value})
+
+
+# the input contract: every model fit and predict checks its inputs with
+# errors.checked_rows, before any work
+ROWS = SplitMix64(8).uniform_block(48).reshape(8, 6)
+TARGETS = np.column_stack([np.sin(4.0 * ROWS[:, 0]), ROWS[:, 1]])
+
+
+def with_value(a, index, value):
+    a = a.copy()
+    a[index] = value
+    return a
+
+
+# entry point: (call on the fitted models, x and y; whether x has a set width; y)
+ENTRY_POINTS = {
+    "linear_fit": (lambda m, x, y: linear_fit(x, y), False, TARGETS),
+    "linear_predict": (lambda m, x, y: linear_predict(m["linear"], x), True, None),
+    "svr_fit": (lambda m, x, y: svr_fit(x, y), False, TARGETS[:, 0]),
+    "svr_predict": (lambda m, x, y: svr_predict(m["svr"].models[0], x), True, None),
+    "fit_svr_baseline": (lambda m, x, y: fit_svr_baseline(x, y), False, TARGETS),
+    "predict_svr_baseline": (lambda m, x, y: predict_svr_baseline(m["svr"], x), True, None),
+    "forward": (lambda m, x, y: mlp.forward(m["mlp"], x), True, None),
+    "train": (lambda m, x, y: mlp.train(m["mlp"], x, y, mlp.TrainConfig()), True, TARGETS),
+    "loss_and_gradient": (
+        lambda m, x, y: mlp.loss_and_gradient(m["mlp"], x, y, 1e-2), True, TARGETS
+    ),
+}
+
+# case: (x, y, error class, message) from an entry point's y and width flag,
+# or None where the entry point takes no such input
+CASES = {
+    "1-D rows": lambda y, width: (
+        ROWS[0], y, ConfigError, r"x of shape \(6,\) is not one or more rows"),
+    "0-d array": lambda y, width: (
+        np.array(0.5), y, ConfigError, r"x of shape \(\) is not one or more rows"),
+    "zero rows": lambda y, width: (
+        ROWS[:0], y, ConfigError, r"x of shape \(0, 6\) is not one or more rows"),
+    "wrong width": lambda y, width: (
+        ROWS[:, :5], y, ConfigError, r"x of shape \(8, 5\) is not one or more rows of width 6"
+    ) if width else None,
+    "misaligned targets": lambda y, width: (
+        ROWS, y[:7], ConfigError, re.escape(f"y of shape {y[:7].shape} is not 8 ")
+    ) if y is not None else None,
+    "1-D targets": lambda y, width: (  # where y is rows, one value per row is refused
+        ROWS, y[:, 0], ConfigError, r"y of shape \(8,\) is not 8 rows"
+    ) if y is not None and y.ndim == 2 else None,
+    "wide targets": lambda y, width: (  # refused where y's width is set
+        ROWS, np.column_stack([y, y]), ConfigError,
+        re.escape(f"y of shape {np.column_stack([y, y]).shape} is not 8 ")
+    ) if y is not None and (y.ndim == 1 or width) else None,
+    "NaN in rows": lambda y, width: (
+        with_value(ROWS, (3, 2), np.nan), y, TrainError,
+        r"x row 3, column 2 is non-finite \(nan\)"),
+    "+inf in rows": lambda y, width: (
+        with_value(ROWS, (5, 0), np.inf), y, TrainError,
+        r"x row 5, column 0 is non-finite \(inf\)"),
+    "NaN in targets": lambda y, width: (
+        ROWS, with_value(y, (4, 1)[: y.ndim], np.nan), TrainError,
+        r"y row 4(, column 1)? is non-finite \(nan\)"
+    ) if y is not None else None,
+}
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    return {
+        "linear": linear_fit(ROWS, TARGETS),
+        "svr": fit_svr_baseline(ROWS, TARGETS),
+        "mlp": mlp.init((6, 4, 2), 1),
+    }
+
+
+@pytest.mark.parametrize(
+    "entry, case",
+    [
+        (entry, case)
+        for entry, (_, width, y) in ENTRY_POINTS.items()
+        for case, make in CASES.items()
+        if make(y, width) is not None
+    ],
+)
+def test_malformed_input_refused_before_any_work(monkeypatch, fitted, entry, case):
+    call, width, y = ENTRY_POINTS[entry]
+    x, y, error, message = CASES[case](y, width)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{entry} worked on a refused input")
+
+    # the kernel build, the least-squares solve and every forward pass follow the check
+    monkeypatch.setattr(baselines, "rbf_kernel", no_work)
+    monkeypatch.setattr(baselines, "_least_squares", no_work)
+    monkeypatch.setattr(mlp, "_forward_layers", no_work)
+    with pytest.raises(error, match=message):
+        call(fitted, x, y)
 
 
 def stacked(blocks):

@@ -392,6 +392,17 @@ class TestConfigBoundary:
         assert line.startswith("error: ") and key in line
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("model", ["linear", "mlp", "svr"])
+    def test_huge_phase_bins_exits_2_before_the_data_is_read(self, capsys, tmp_path, model):
+        # a 1e8-bin phase curve per fold used to run past a minute or exhaust memory
+        code, err = main_in_process(
+            capsys, "loocv", "--data", str(tmp_path / "absent"), "--model", model,
+            "--out", str(tmp_path / "rep"), "--override", "phase_bins=100000000",
+        )
+        assert code == 2
+        assert err == ["error: phase_bins must be 2 to 10000, got 100000000"]
+        assert not (tmp_path / "rep").exists()
+
     def test_non_utf8_config_exits_2_naming_the_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'{"seed": 1, "note": "\xff"}')
@@ -625,6 +636,28 @@ def edit_trial(source, data, trial, edit, row, other, byte):
     path.write_text("\n".join([meta, header, *rows]) + "\n")
 
 
+def assert_every_model_exits_cleanly(capsys, data, out, *overrides):
+    """Run loocv of each model on data with epochs=2 and overrides, each in process.
+
+    Each run exits 0, 1 or 2; a failure prints exactly one error: line;
+    stderr holds no Traceback or RuntimeWarning; and any report.json
+    written parses without NaN or Infinity.
+    """
+    args = [arg for o in ("epochs=2", *overrides) for arg in ("--override", o)]
+    for model in ("linear", "mlp", "svr"):
+        code, err = main_in_process(
+            capsys, "loocv", "--data", str(data), "--model", model, "--out", str(out / model), *args
+        )
+        assert code in (0, 1, 2)
+        assert not any("Traceback" in line or "RuntimeWarning" in line for line in err)
+        if code:
+            [line] = err
+            assert line.startswith("error: ")
+        report = out / model / "report.json"
+        if code == 0 or report.exists():
+            json.loads(report.read_text(), parse_constant=refuse_constant)
+
+
 class TestEditedRows:
     # each example runs every model, so each edit reaches each model
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -642,16 +675,124 @@ class TestEditedRows:
     ):
         run = Path(tempfile.mkdtemp(dir=tmp_path))
         edit_trial(one_per_mode, run / "data", trial, edit, row, other, byte)
-        for model in ("linear", "mlp", "svr"):
-            code, err = main_in_process(
-                capsys, "loocv", "--data", str(run / "data"), "--model", model,
-                "--out", str(run / model), "--override", "epochs=2",
-            )
-            assert code in (0, 1, 2)
-            assert not any("Traceback" in line or "RuntimeWarning" in line for line in err)
-            if code:
-                [line] = err
-                assert line.startswith("error: ")
+        assert_every_model_exits_cleanly(capsys, run / "data", run)
+
+
+def edit_head(source, data, trial, line, edit, k, value):
+    """Copy the trial CSVs in source to data, with line 1 or 2 of one trial edited.
+
+    Line 1 is the metadata, "# " and key=value fields; line 2 the column
+    header.  edit drops field k of the line, repeats it, or swaps it with
+    the field before it; sets it to value (for metadata, the text after
+    its '='); appends value as an extra field; puts a byte-order mark
+    before the line; or puts trailing spaces after it.
+    """
+    shutil.copytree(source, data)
+    path = sorted(data.glob("*.csv"))[trial]
+    lines = path.read_text().splitlines()
+    prefix = "# " if line == 1 else ""
+    fields = lines[line - 1].removeprefix(prefix).split(",")
+    k %= len(fields)
+    if edit == "drop":
+        del fields[k]
+    elif edit == "repeat":
+        fields.insert(k, fields[k])
+    elif edit == "swap":
+        fields[k - 1], fields[k] = fields[k], fields[k - 1]
+    elif edit == "set":
+        fields[k] = f"{fields[k].partition('=')[0]}={value}" if line == 1 else value
+    elif edit == "extra":
+        fields.append(value)
+    text = prefix + ",".join(fields)
+    lines[line - 1] = {"bom": "\ufeff" + text, "spaces": text + "  "}.get(edit, text)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestEditedHead:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        trial=st.integers(0, len(MODES) - 1),
+        line=st.sampled_from([1, 2]),
+        edit=st.sampled_from(["drop", "repeat", "swap", "set", "extra", "bom", "spaces"]),
+        k=st.integers(0, 4),
+        # a mode outside MODES, unusable sample rates, and two valid values
+        value=st.sampled_from(["Running", "0", "-1", "nan", "inf", "1e-320", "1e308",
+                               "200 Hz", "", "NormalWalk", "200.0"]),
+    )
+    def test_an_edited_metadata_or_header_line_exits_cleanly(
+        self, capsys, tmp_path, one_per_mode, trial, line, edit, k, value
+    ):
+        run = Path(tempfile.mkdtemp(dir=tmp_path))
+        edit_head(one_per_mode, run / "data", trial, line, edit, k, value)
+        assert_every_model_exits_cleanly(capsys, run / "data", run)
+
+
+# every RunConfig field's override values: in range, within sizes that keep
+# an example small, and the out-of-range values its check names
+SMALL_FLOATS = [-1.0, 0.0, 1e-300, 1e-3, 0.5, 10.0, 1e300]
+FIELD_VALUES = {
+    "seed": st.integers(-1, 2**64),
+    "trials_per_mode": st.dictionaries(
+        st.sampled_from([*MODES, "Running"]), st.integers(-1, 2), max_size=3
+    ),
+    "samples_per_trial": st.integers(-1, 512),
+    "noise_std_deg": st.sampled_from(SMALL_FLOATS),
+    "speed_jitter": st.sampled_from([-0.1, 0.0, 0.05, 0.49, 0.5]),
+    "linear_mode": st.booleans(),
+    "filter_order": st.integers(-1, 12),
+    "cutoff_hz": st.sampled_from([*SMALL_FLOATS, 6, 99.0, 100.0]),
+    "filter_targets": st.booleans(),
+    "paper_faithful_norm": st.booleans(),
+    "layer_dims": st.lists(st.integers(0, 32), max_size=3).map(lambda h: [6, *h, 2])
+    | st.lists(st.integers(-1, 32), max_size=4),
+    "epochs": st.integers(-1, 2),
+    "learning_rate": st.sampled_from(SMALL_FLOATS),
+    "momentum": st.sampled_from([-0.1, 0.0, 0.9, 1.0]),
+    "l2_penalty": st.sampled_from(SMALL_FLOATS),
+    "batch_size": st.integers(-1, 64),
+    "init_seed": st.integers(-1, 2**64),
+    "shuffle_seed": st.integers(-1, 2**64),
+    "svr_c": st.sampled_from(SMALL_FLOATS),
+    "svr_epsilon": st.sampled_from(SMALL_FLOATS),
+    "svr_gamma": st.none() | st.sampled_from(SMALL_FLOATS),
+    "svr_tol": st.sampled_from(SMALL_FLOATS),
+    "svr_max_updates": st.integers(-1, 2_000),
+    "svr_grid_c": st.none() | st.lists(st.sampled_from(SMALL_FLOATS), max_size=2),
+    "svr_grid_epsilon": st.none() | st.lists(st.sampled_from(SMALL_FLOATS), max_size=2),
+    "svr_grid_gamma": st.none() | st.lists(st.sampled_from(SMALL_FLOATS), max_size=2),
+    "svr_grid_folds": st.integers(-1, 4),
+    "phase_bins": st.integers(-1, 1_000) | st.sampled_from([10_001, 100_000_000]),
+}
+
+
+class TestOverrides:
+    def test_every_field_has_override_values(self):
+        assert sorted(FIELD_VALUES) == sorted(f.name for f in fields(RunConfig))
+
+    # a capped SMO fit warns by design; numpy's RuntimeWarnings fail the example
+    @pytest.mark.filterwarnings("ignore:SMO stopped at the update cap:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_overrides_of_any_field_exit_cleanly(self, capsys, tmp_path, data):
+        # synth runs with the overrides too, so its fields reach the models
+        names = data.draw(st.lists(st.sampled_from(sorted(FIELD_VALUES)), min_size=1,
+                                   max_size=3, unique=True))
+        overrides = [f"{n}={json.dumps(data.draw(FIELD_VALUES[n], label=n))}" for n in names]
+        if "trials_per_mode" not in names:
+            overrides.insert(0, f"trials_per_mode={json.dumps({m: 1 for m in MODES})}")
+        run = Path(tempfile.mkdtemp(dir=tmp_path))
+        args = [arg for o in overrides for arg in ("--override", o)]
+        code, err = main_in_process(capsys, "synth", "--out", str(run / "data"), *args)
+        assert code in (0, 2)
+        if code:
+            [line] = err
+            assert line.startswith("error: ")
+            (run / "data").mkdir(exist_ok=True)  # loocv then fails on the config first
+        assert_every_model_exits_cleanly(capsys, run / "data", run, *overrides)
 
 
 def write_trials(directory, specs):

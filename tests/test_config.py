@@ -1,6 +1,7 @@
 import pytest
 
 from gaitreg import RunConfig, SynthConfig
+from gaitreg.config import MAX_PHASE_BINS
 from gaitreg.errors import ConfigError
 from gaitreg.mlp import TrainConfig
 
@@ -21,3 +22,14 @@ def test_values_are_echoed_as_written():
 def test_grid_entries_must_be_finite_numbers(grid):
     with pytest.raises(ConfigError, match="svr_grid_c"):
         RunConfig(svr_grid_c=grid, svr_grid_epsilon=[0.1], svr_grid_gamma=[1.0])
+
+
+@pytest.mark.parametrize("bins", [1, MAX_PHASE_BINS + 1, 100_000_000])
+def test_phase_bins_outside_its_range_refused(bins):
+    with pytest.raises(ConfigError, match=f"phase_bins must be 2 to 10000, got {bins}"):
+        RunConfig(phase_bins=bins)
+
+
+def test_phase_bins_at_its_bounds_accepted():
+    assert RunConfig(phase_bins=2).phase_bins == 2
+    assert RunConfig(phase_bins=MAX_PHASE_BINS).phase_bins == MAX_PHASE_BINS

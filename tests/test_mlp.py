@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from oracles import least_squares_fit, reference_train, scalar_mlp_forward
 
-from gaitreg.errors import ConfigError, TrainError
+from gaitreg.errors import TrainError
 from gaitreg.mlp import (
     DEFAULT_LAYER_DIMS,
     MlpModel,
@@ -84,15 +84,6 @@ class TestForward:
         batched = forward(model, x)
         for row in range(4):
             assert np.abs(forward(model, x[row : row + 1])[0] - batched[row]).max() < 1e-13
-
-    def test_one_input_vector_refused_naming_its_shape(self):
-        with pytest.raises(ConfigError, match=r"\(6,\)"):
-            forward(init((6, 4, 2), 1), np.zeros(6))
-
-    def test_non_finite_input_rejected(self):
-        model = init((6, 4, 2), 1)
-        with pytest.raises(TrainError, match="non-finite"):
-            forward(model, np.array([[np.nan, 0, 0, 0, 0, 0]]))
 
 
 class TestLossAndGradient:
@@ -247,10 +238,6 @@ class TestTrain:
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             assert np.array_equal(a, b)
         assert trace == pytest.approx(want_trace, rel=1e-12, abs=0.0)
-
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(ConfigError, match="empty"):
-            train(init((6, 2), 1), np.empty((0, 6)), np.empty((0, 2)), TrainConfig())
 
 
 class TestProperties:
