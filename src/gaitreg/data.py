@@ -1,9 +1,9 @@
 """Gait trial containers, trial CSV interchange, and leave-one-out splitting.
 
 A trial is one gait cycle (heel contact to ipsilateral heel contact) of
-hip/knee/ankle angles plus ankle moment, sampled uniformly.  Angles are
-degrees, moments newton-meters; files carry no unit metadata beyond the
-fixed header.
+hip/knee/ankle angles plus ankle moment, sampled together and uniformly:
+one (n, 4) matrix, a column per COLUMNS name.  Angles are degrees,
+moments newton-meters; files carry no unit metadata beyond the fixed header.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -22,56 +22,54 @@ MIN_TRIAL_SAMPLES = 16
 
 CSV_HEADER = "time_s,theta_hip_deg,theta_knee_deg,theta_ankle_deg,tau_ankle_Nm"
 
+# a trial's sample columns, in the CSV's order after time_s
+COLUMNS = ("theta_hip", "theta_knee", "theta_ankle", "tau_ankle")
+
 
 # the five terrain/task categories a trial can belong to, in report order
 MODES = ("NormalWalk", "StairAscent", "StairDescent", "SlopeAscent", "SlopeDescent")
 
 
-def _as_readonly(values: Sequence[float], name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ConfigError(f"{name} must be one-dimensional")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
+def _column(k: int) -> property:
+    return property(lambda trial: trial.samples[:, k], doc=f"Read-only view of samples[:, {k}].")
 
 
 @dataclass(frozen=True)
 class GaitTrial:
-    """One immutable gait cycle: a mode name from MODES and four finite, equal-length columns."""
+    """One immutable gait cycle: a MODES name and a read-only copy of its finite (n, 4) samples."""
 
     trial_id: str
     mode: str
     sample_rate_hz: float
-    theta_hip: np.ndarray
-    theta_knee: np.ndarray
-    theta_ankle: np.ndarray
-    tau_ankle: np.ndarray
+    samples: np.ndarray
+
+    theta_hip = _column(0)
+    theta_knee = _column(1)
+    theta_ankle = _column(2)
+    tau_ankle = _column(3)
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"trial {self.trial_id!r}: unknown locomotion mode {self.mode!r}")
-        for name in ("theta_hip", "theta_knee", "theta_ankle", "tau_ankle"):
-            column = _as_readonly(getattr(self, name), name)
-            finite = np.isfinite(column)
-            if not finite.all():
-                index = int(finite.argmin())
-                raise ConfigError(
-                    f"trial {self.trial_id!r}: {name} sample {index} is not finite "
-                    f"({column[index]})"
-                )
-            object.__setattr__(self, name, column)
-        n = len(self.theta_hip)
-        for name in ("theta_knee", "theta_ankle", "tau_ankle"):
-            if len(getattr(self, name)) != n:
-                raise ConfigError(
-                    f"trial {self.trial_id!r}: column length mismatch: "
-                    f"theta_hip has {n} samples, {name} has {len(getattr(self, name))}"
-                )
+        samples = np.array(self.samples, dtype=np.float64)
+        if samples.ndim != 2 or samples.shape[1] != len(COLUMNS):
+            raise ConfigError(
+                f"trial {self.trial_id!r}: samples of shape {samples.shape} are not (n, 4)"
+            )
+        finite = np.isfinite(samples)
+        if not finite.all():
+            col, index = np.argwhere(~finite.T)[0]  # column-major: the first bad column is named
+            raise ConfigError(
+                f"trial {self.trial_id!r}: {COLUMNS[col]} sample {index} is not finite "
+                f"({samples[index, col]})"
+            )
+        n = len(samples)
         if n < MIN_TRIAL_SAMPLES:
             raise ConfigError(
                 f"trial {self.trial_id!r} has {n} samples; need at least {MIN_TRIAL_SAMPLES}"
             )
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
         if not (self.sample_rate_hz > 0.0 and np.isfinite(self.sample_rate_hz)):
             raise ConfigError(f"trial {self.trial_id!r}: sample_rate_hz must be positive")
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
@@ -80,7 +78,7 @@ class GaitTrial:
 
     @property
     def n_samples(self) -> int:
-        return len(self.theta_hip)
+        return len(self.samples)
 
 
 @dataclass(frozen=True)
@@ -231,15 +229,7 @@ def load_trial_csv(path: str | Path) -> GaitTrial:
             f"deviates from uniform spacing 1/{fs} starting at 0"
         )
     try:
-        return GaitTrial(
-            trial_id=trial_id,
-            mode=mode,
-            sample_rate_hz=fs,
-            theta_hip=data[:, 1],
-            theta_knee=data[:, 2],
-            theta_ankle=data[:, 3],
-            tau_ankle=data[:, 4],
-        )
+        return GaitTrial(trial_id, mode, fs, data[:, 1:])
     except ConfigError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -252,8 +242,7 @@ def trial_csv_text(trial: GaitTrial) -> str:
         CSV_HEADER,
     ]
     fs = trial.sample_rate_hz
-    cols = (trial.theta_hip, trial.theta_knee, trial.theta_ankle, trial.tau_ankle)
-    for i, row in enumerate(zip(*(col.tolist() for col in cols))):
+    for i, row in enumerate(trial.samples.tolist()):
         out.append(f"{i / fs!r},{','.join(map(repr, row))}")
     return "\n".join(out) + "\n"
 

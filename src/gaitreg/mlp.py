@@ -282,6 +282,15 @@ def _views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
     return views
 
 
+def _loss_and_sides(model: MlpModel, x, y, l2_penalty: float) -> tuple[float, np.ndarray]:
+    """The objective, and which hidden pre-activations are > 0 (each rectifier's side of 0)."""
+    loss, _ = loss_and_gradient(model, x, y, l2_penalty)
+    pres, acts, _ = _buffers(model.layer_dims, len(x))
+    acts[0] = x
+    _forward_layers(model.weights, model.biases, acts, pres)
+    return loss, np.concatenate([z.ravel() for z in pres[:-1]]) > 0.0
+
+
 def gradient_check(
     model: MlpModel,
     x: np.ndarray,
@@ -296,13 +305,16 @@ def gradient_check(
     For each parameter tensor, up to samples_per_tensor entries are probed.
     Relative error per entry is |fd - g| / max(|g|, |fd|, 1e-3); the floor
     makes an absolute error of 1e-7 on a near-zero gradient count as 1e-4.
-    Returns (all entries below GRADCHECK_THRESHOLD, max relative error).
+    A probe whose two evaluations put a rectifier input on opposite sides
+    of 0 spans a kink and is skipped; a tensor left with no probe fails.
+    Returns (every kept entry below GRADCHECK_THRESHOLD, max relative error).
     """
     _, (grad_w, grad_b) = loss_and_gradient(model, x, y, l2_penalty)
     tensors = [*zip(model.weights, grad_w), *zip(model.biases, grad_b)]
     stream = SplitMix64(seed)
     max_rel = 0.0
-    for theta, grad in tensors:
+    probed = set()  # tensors with a probe kept
+    for t, (theta, grad) in enumerate(tensors):
         flat = theta.ravel()
         gflat = grad.ravel()
         count = min(samples_per_tensor, flat.size)
@@ -312,11 +324,14 @@ def gradient_check(
         for idx in picks:
             orig = flat[idx]
             flat[idx] = orig + step
-            lo_hi, _ = loss_and_gradient(model, x, y, l2_penalty)
+            lo_hi, sides_hi = _loss_and_sides(model, x, y, l2_penalty)
             flat[idx] = orig - step
-            lo_lo, _ = loss_and_gradient(model, x, y, l2_penalty)
+            lo_lo, sides_lo = _loss_and_sides(model, x, y, l2_penalty)
             flat[idx] = orig
+            if (sides_hi != sides_lo).any():
+                continue
             fd = (lo_hi - lo_lo) / (2.0 * step)
             rel = abs(fd - gflat[idx]) / max(abs(gflat[idx]), abs(fd), 1e-3)
             max_rel = max(max_rel, rel)
-    return max_rel < GRADCHECK_THRESHOLD, max_rel
+            probed.add(t)
+    return len(probed) == len(tensors) and max_rel < GRADCHECK_THRESHOLD, max_rel

@@ -8,13 +8,13 @@ built by low-pass filtering the measured angles, differentiating the
 filtered hip/knee angles twice, and min-max scaling each column to the
 training fold's [0, 1] range.  Targets stay in degrees and newton-meters.
 
-All zero-phase filtering goes through one batched core: every signal that
-shares a sample rate is reflect-padded into a column of one matrix, and
-the recurrence steps down all columns a row at a time, in place, so a
+All zero-phase filtering goes through one batched core: it reflect-pads
+each (n, w) block of samples into its own columns of one matrix and
+steps the recurrence down all columns a row at a time, in place, so a
 whole dataset costs one Python-level loop per pass instead of one per
 signal, with the same bits as filtering each signal alone.  feature_rows
 designs the low-pass once per sample rate from a cutoff and an order,
-copies each trial's filtered columns straight out of the matrix into one
+copies each trial's filtered block, returned in time order, into one
 stack of rows, drops the matrix, and differentiates the filtered angles
 of all trials in one pass over the stack (np.gradient's central
 differences, one-sided at each trial's ends).  It is the one place input
@@ -147,49 +147,58 @@ def _sosfilt_rows(sections, y: np.ndarray) -> None:
             xi[:] = buf
 
 
-def _zero_phase(signals, filt: ButterworthFilter) -> np.ndarray:
-    """lowpass_zero_phase of every signal, in one batched pass per direction.
+def _zero_phase(blocks, filt: ButterworthFilter) -> list[np.ndarray]:
+    """lowpass_zero_phase of each column of each (n, w) block, in one batched pass per direction.
 
-    Each signal is reflect-padded by pad = 3 * order into its own column of
-    one top-aligned (L, m) matrix, with slices.  The matrix is filtered in
-    place, each column's padded prefix is reversed in place, and the
-    matrix is filtered again and returned: signal j's filtered sample i
-    sits at row len(x_j) + pad - 1 - i.  Rows past a column's padded length
-    start as zeros and are never read.
+    Each block is reflect-padded by pad = 3 * order (n >= pad) into its own
+    columns of one top-aligned matrix.  The matrix is filtered in place,
+    each block's padded prefix is reversed, and the matrix is filtered
+    again.  Each block's filtered samples are returned in time order, as a
+    view of the matrix.  Rows past a block's padded length stay zero.
     """
     pad = 3 * filt.order
-    xs = []
-    for signal in signals:
-        x = np.asarray(signal, dtype=np.float64)
-        if x.ndim != 1:
-            raise PreprocessError(f"signal must be 1-D, got shape {x.shape}")
-        if len(x) < pad:
-            raise PreprocessError(
-                f"signal of length {len(x)} too short to filter; need >= {pad} (3 x order)"
-            )
-        xs.append(x)
-    y = np.zeros((max(map(len, xs)) + 2 * pad, len(xs)))
-    for j, x in enumerate(xs):
-        n = len(x)
-        y[:pad, j] = x[pad - 1 :: -1]  # reflections include the edge sample
-        y[pad : n + pad, j] = x
-        y[n + pad : n + 2 * pad, j] = x[: -pad - 1 : -1]
+    ends = np.cumsum([b.shape[1] for b in blocks])
+    y = np.zeros((max(map(len, blocks)) + 2 * pad, ends[-1]))
+    padded = [y[: len(b) + 2 * pad, end - b.shape[1] : end] for b, end in zip(blocks, ends)]
+    for block, cols in zip(blocks, padded):
+        cols[:pad] = block[pad - 1 :: -1]  # reflections include the edge sample
+        cols[pad:-pad] = block
+        cols[-pad:] = block[: -pad - 1 : -1]
     _sosfilt_rows(filt.sections, y)
-    for j, x in enumerate(xs):
-        column = y[: len(x) + 2 * pad, j]
-        column[:] = column[::-1]
+    for cols in padded:
+        cols[:] = cols[::-1]
     _sosfilt_rows(filt.sections, y)
-    return y
+    # the second pass ran backwards in time: sample i sits at row n + pad - 1 - i
+    return [cols[-pad - 1 : pad - 1 : -1] for cols in padded]
 
 
+def _checked_signal(signal, min_length: int) -> np.ndarray:
+    """signal as 1-D float64 of >= min_length samples, all finite; else a PreprocessError."""
+    x = np.asarray(signal, dtype=np.float64)
+    if x.ndim != 1:
+        raise PreprocessError(f"signal must be 1-D, got shape {x.shape}")
+    if len(x) < min_length:
+        raise PreprocessError(f"signal of length {len(x)} is too short; need >= {min_length}")
+    finite = np.isfinite(x)
+    if not finite.all():
+        index = int(finite.argmin())
+        raise PreprocessError(f"signal sample {index} is not finite ({x[index]})")
+    return x
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused at the end
 def lowpass_zero_phase(signal: np.ndarray, filt: ButterworthFilter) -> np.ndarray:
     """Zero-phase low-pass: pad, filter forward, reverse, filter, reverse, trim.
 
     Edges are handled by reflection (edge sample included) of length
-    3 * order on each side, removed after the two passes.
+    3 * order on each side, removed after the two passes.  Fewer samples
+    than that, a non-finite one or a result that overflows: PreprocessError.
     """
-    pad = 3 * filt.order
-    return _zero_phase([signal], filt)[-pad - 1 : pad - 1 : -1, 0]
+    x = _checked_signal(signal, 3 * filt.order)
+    [y] = _zero_phase([x[:, None]], filt)
+    if not np.isfinite(y).all():
+        raise PreprocessError("filtered signal overflows float64")
+    return y[:, 0]
 
 
 def _gradient(f: np.ndarray, bounds, dt: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -259,16 +268,16 @@ def scaling_matrix(params: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def spectral_energy_fraction(
     signal: np.ndarray, sample_rate_hz: float, threshold_hz: float
 ) -> float:
     """Fraction of squared DFT magnitude at (folded) frequencies <= threshold.
 
-    The mean is removed first; the spectrum is numpy's FFT.
+    The mean is removed first; the spectrum is numpy's FFT.  Fewer than 8
+    samples, a non-finite one or an energy that overflows: PreprocessError.
     """
-    x = np.asarray(signal, dtype=np.float64)
-    if len(x) < 8:
-        raise PreprocessError(f"need at least 8 samples, got {len(x)}")
+    x = _checked_signal(signal, 8)
     nyquist = sample_rate_hz / 2.0
     if threshold_hz > nyquist:
         warnings.warn(
@@ -282,6 +291,8 @@ def spectral_energy_fraction(
     power = np.abs(np.fft.fft(x)) ** 2
     folded_hz = np.minimum(k, n - k) * (sample_rate_hz / n)
     total = power.sum()
+    if not np.isfinite(total):
+        raise PreprocessError("signal's spectral energy overflows float64")
     if total == 0.0:
         return 1.0
     return float(power[folded_hz <= threshold_hz].sum() / total)
@@ -314,7 +325,6 @@ def feature_rows(
         )
     lengths = [t.n_samples for t in trials]
     bounds = np.cumsum([0] + lengths).tolist()
-    columns = [(t.theta_hip, t.theta_knee, t.theta_ankle, t.tau_ankle) for t in trials]
     width = 4 if filter_targets else 2
     inputs = np.empty((bounds[-1], 6))
     targets = np.empty((bounds[-1], 2))
@@ -324,13 +334,11 @@ def feature_rows(
             filt = ButterworthFilter.design(cutoff_hz, rate, order)
         except ConfigError as exc:
             raise ConfigError(f"trial {trials[group[0]].trial_id!r}: {exc}") from None
-        filtered = _zero_phase([c for i in group for c in columns[i][:width]], filt)
-        for j, i in enumerate(group):
+        filtered = _zero_phase([trials[i].samples[:, :width] for i in group], filt)
+        for i, rows in zip(group, filtered):
             a, b = bounds[i], bounds[i + 1]
-            # the trial's sample s sits at row (b - a) + pad - 1 - s of its columns
-            rows = filtered[b - a + pad - 1 : pad - 1 : -1, j * width : (j + 1) * width]
             inputs[a:b, 0::3] = rows[:, :2]
-            targets[a:b] = rows[:, 2:] if filter_targets else np.column_stack(columns[i][2:])
+            targets[a:b] = rows[:, 2:] if filter_targets else trials[i].samples[:, 2:]
         del filtered, rows  # so at most one matrix is alive, and none while differentiating
     # [theta, dtheta, ddtheta] per joint, each trial differentiated on its own
     dt = (1.0 / np.repeat([t.sample_rate_hz for t in trials], lengths))[:, None]

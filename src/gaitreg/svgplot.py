@@ -63,39 +63,34 @@ def band_plot_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:.0f}" '
         f'height="{_HEIGHT:.0f}" viewBox="0 0 {_WIDTH:.0f} {_HEIGHT:.0f}">',
         f'<rect width="{_WIDTH:.0f}" height="{_HEIGHT:.0f}" fill="white"/>',
-        f'<text x="{_WIDTH / 2:.0f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
+
+    def text(x, y, anchor, size, body, extra=""):
+        """One <text>; a float coordinate is written by _fmt, a str one as it is."""
+        x, y = (v if isinstance(v, str) else _fmt(v) for v in (x, y))
+        parts.append(
+            f'<text x="{x}" y="{y}" text-anchor="{anchor}" '
+            f'font-family="sans-serif" font-size="{size}"{extra}>{body}</text>'
+        )
+
+    def line(x1, y1, x2, y2, stroke, extra=""):
+        parts.append(
+            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+            f'stroke="{stroke}" stroke-width="1"{extra}/>'
+        )
+
+    text(f"{_WIDTH / 2:.0f}", "20", "middle", 14, title)
     # axes + ticks
     n_yticks = 5
     for i in range(n_yticks + 1):
         v = y_lo + (y_hi - y_lo) * i / n_yticks
-        parts.append(
-            f'<line x1="{_fmt(_LEFT)}" y1="{_fmt(py(v))}" x2="{_fmt(_WIDTH - _RIGHT)}" '
-            f'y2="{_fmt(py(v))}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(_LEFT - 6)}" y="{_fmt(py(v) + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{v:.4g}</text>'
-        )
+        line(_LEFT, py(v), _WIDTH - _RIGHT, py(v), "#dddddd")
+        text(_LEFT - 6, py(v) + 4, "end", 11, f"{v:.4g}")
     for v in np.linspace(x_lo, x_hi, 6):
-        parts.append(
-            f'<text x="{_fmt(px(v))}" y="{_fmt(_HEIGHT - _BOTTOM + 16)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{v:.4g}</text>'
-        )
-    parts.append(
-        f'<line x1="{_fmt(px(divider_x))}" y1="{_fmt(py(y_hi))}" '
-        f'x2="{_fmt(px(divider_x))}" y2="{_fmt(py(y_lo))}" '
-        f'stroke="#888888" stroke-width="1" stroke-dasharray="5,4"/>'
-    )
-    parts.append(
-        f'<text x="{_fmt(px(divider_x) - 6)}" y="{_fmt(_TOP + 12)}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11" fill="#666666">stance</text>'
-    )
-    parts.append(
-        f'<text x="{_fmt(px(divider_x) + 6)}" y="{_fmt(_TOP + 12)}" text-anchor="start" '
-        f'font-family="sans-serif" font-size="11" fill="#666666">swing</text>'
-    )
+        text(px(v), _HEIGHT - _BOTTOM + 16, "middle", 11, f"{v:.4g}")
+    line(px(divider_x), py(y_hi), px(divider_x), py(y_lo), "#888888", ' stroke-dasharray="5,4"')
+    text(px(divider_x) - 6, _TOP + 12, "end", 11, "stance", ' fill="#666666"')
+    text(px(divider_x) + 6, _TOP + 12, "start", 11, "swing", ' fill="#666666"')
     # error band and mean line; px and py map whole arrays elementwise
     xs = px(x).tolist()
     upper = _points(xs, py(mean + half_band).tolist())
@@ -111,14 +106,8 @@ def band_plot_svg(
         f'<rect x="{_fmt(_LEFT)}" y="{_fmt(_TOP)}" width="{_fmt(_WIDTH - _LEFT - _RIGHT)}" '
         f'height="{_fmt(_HEIGHT - _TOP - _BOTTOM)}" fill="none" stroke="#333333" stroke-width="1"/>'
     )
-    parts.append(
-        f'<text x="{_fmt((_LEFT + _WIDTH - _RIGHT) / 2)}" y="{_fmt(_HEIGHT - 10)}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="12">{x_label}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_fmt((_TOP + _HEIGHT - _BOTTOM) / 2)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {_fmt((_TOP + _HEIGHT - _BOTTOM) / 2)})">{y_label}</text>'
-    )
+    text((_LEFT + _WIDTH - _RIGHT) / 2, _HEIGHT - 10, "middle", 12, x_label)
+    mid = _fmt((_TOP + _HEIGHT - _BOTTOM) / 2)
+    text("16", mid, "middle", 12, y_label, f' transform="rotate(-90 16 {mid})"')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -23,7 +23,8 @@ recover them to machine precision on noise-free data.  generate builds
 every noise-free trial first and reads their features from one
 feature_rows pass, the pipeline's own, which designs that filter for the
 synthetic sample rate; ground_truth runs the same map on its one trial,
-with the same bits.  The noise is drawn after the targets.
+with the same bits.  The noise is drawn after the targets and added to
+the three angle columns only, so the moment's swing zeros keep their sign.
 """
 
 from __future__ import annotations
@@ -191,8 +192,8 @@ def _trial(config: SynthConfig, mode: str, index: int) -> tuple[GaitTrial, Split
     states = (hip / 30.0, knee / 40.0, hip_vel / 300.0, knee_vel / 400.0)
     theta_ankle = _state_map(ANKLE_COEF[mode], *states, 1.7, -1.1)
     tau_ankle = stance_window(phi) * _state_map(TAU_COEF[mode], *states, 0.9, 1.3)
-    columns = (hip, knee, theta_ankle, tau_ankle)
-    return GaitTrial(f"{mode}_{index:02d}", mode, SYNTH_SAMPLE_RATE_HZ, *columns), stream
+    samples = np.column_stack((hip, knee, theta_ankle, tau_ankle))
+    return GaitTrial(f"{mode}_{index:02d}", mode, SYNTH_SAMPLE_RATE_HZ, samples), stream
 
 
 def _linear_targets(trials: list[GaitTrial]) -> list[GaitTrial]:
@@ -202,8 +203,9 @@ def _linear_targets(trials: list[GaitTrial]) -> list[GaitTrial]:
     )
     mapped = []
     for trial, start, end in zip(trials, bounds, bounds[1:]):
-        theta_ankle, tau_ankle = (inputs[start:end] @ LINEAR_WEIGHTS.T + LINEAR_INTERCEPT).T
-        mapped.append(replace(trial, theta_ankle=theta_ankle, tau_ankle=tau_ankle))
+        samples = trial.samples.copy()
+        samples[:, 2:] = inputs[start:end] @ LINEAR_WEIGHTS.T + LINEAR_INTERCEPT
+        mapped.append(replace(trial, samples=samples))
     return mapped
 
 
@@ -217,13 +219,9 @@ def generate(config: SynthConfig) -> GaitDataset:
     if config.noise_std_deg > 0.0:
         for i, (trial, (_, stream)) in enumerate(zip(trials, drawn)):
             noise = stream.normal_block(3 * trial.n_samples, 0.0, config.noise_std_deg)
-            hip, knee, ankle = noise.reshape(3, -1)
-            trials[i] = replace(
-                trial,
-                theta_hip=trial.theta_hip + hip,
-                theta_knee=trial.theta_knee + knee,
-                theta_ankle=trial.theta_ankle + ankle,
-            )
+            samples = trial.samples.copy()
+            samples[:, :3] += noise.reshape(3, -1).T
+            trials[i] = replace(trial, samples=samples)
     return GaitDataset(tuple(trials))
 
 

@@ -800,9 +800,9 @@ def write_trials(directory, specs):
     directory.mkdir()
     for trial_id, rate, n in specs:
         phase = np.linspace(0.0, 2.0 * np.pi, n)
-        columns = [np.sin(phase + k) for k in range(4)]
+        samples = np.column_stack([np.sin(phase + k) for k in range(4)])
         write_trial_csv(
-            GaitTrial(trial_id, "NormalWalk", rate, *columns), directory / f"{trial_id}.csv"
+            GaitTrial(trial_id, "NormalWalk", rate, samples), directory / f"{trial_id}.csv"
         )
     return directory
 
@@ -856,6 +856,12 @@ class TestGradcheck:
         a = run_cli("gradcheck", "--seed", "11").stdout
         b = run_cli("gradcheck", "--seed", "11").stdout
         assert a == b
+
+    @pytest.mark.parametrize("seed", [3, 20, 34, 53, 55])
+    def test_seeds_with_a_probe_across_a_rectifier_kink_pass(self, capsys, seed):
+        # each batch has a hidden pre-activation within one step of 0; those probes are skipped
+        assert cli.main(["gradcheck", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out.startswith("PASS max_rel_err=")
 
     def test_injected_sign_flip_fails(self, monkeypatch):
         # mutation sanity: corrupt one analytic gradient entry, expect FAIL

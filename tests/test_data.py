@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gaitreg import loo_splits
 from gaitreg.data import (
+    COLUMNS,
     MIN_TRIAL_SAMPLES,
     MODES,
     GaitDataset,
@@ -21,15 +22,15 @@ from gaitreg.errors import ConfigError, ParseError, PipelineError
 
 def make_trial(trial_id="t0", mode="NormalWalk", n=120, fs=200.0):
     t = np.arange(n) / fs
-    return GaitTrial(
-        trial_id=trial_id,
-        mode=mode,
-        sample_rate_hz=fs,
-        theta_hip=10 * np.sin(2 * np.pi * t),
-        theta_knee=20 + 5 * np.cos(2 * np.pi * t),
-        theta_ankle=np.linspace(-5, 5, n),
-        tau_ankle=np.linspace(0, -30, n),
+    samples = np.column_stack(
+        [
+            10 * np.sin(2 * np.pi * t),
+            20 + 5 * np.cos(2 * np.pi * t),
+            np.linspace(-5, 5, n),
+            np.linspace(0, -30, n),
+        ]
     )
+    return GaitTrial(trial_id=trial_id, mode=mode, sample_rate_hz=fs, samples=samples)
 
 
 def write_csv_text(path, text):
@@ -37,9 +38,8 @@ def write_csv_text(path, text):
     return path
 
 
-COLUMN_NAMES = ("theta_hip", "theta_knee", "theta_ankle", "tau_ankle")
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-COLUMNS = st.integers(MIN_TRIAL_SAMPLES, 40).flatmap(
+SAMPLE_COLUMNS = st.integers(MIN_TRIAL_SAMPLES, 40).flatmap(
     lambda n: st.lists(st.lists(FINITE, min_size=n, max_size=n), min_size=4, max_size=4)
 )
 ZEROS = [[0.0] * MIN_TRIAL_SAMPLES] * 4
@@ -50,17 +50,18 @@ class TestGaitTrial:
         trial = make_trial()
         assert trial.n_samples == 120
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigError, match="column length mismatch"):
-            GaitTrial(
-                trial_id="bad",
-                mode="NormalWalk",
-                sample_rate_hz=200.0,
-                theta_hip=np.zeros(120),
-                theta_knee=np.zeros(119),
-                theta_ankle=np.zeros(120),
-                tau_ankle=np.zeros(120),
-            )
+    @pytest.mark.parametrize("shape", [(120, 3), (120,), (120, 5)])
+    def test_samples_that_are_not_n_by_4_rejected_naming_the_shape(self, shape):
+        with pytest.raises(ConfigError, match=re.escape(f"trial 'bad': samples of shape {shape}")):
+            GaitTrial("bad", "NormalWalk", 200.0, np.zeros(shape))
+
+    def test_columns_are_views_of_the_samples_in_csv_order(self):
+        trial = make_trial()
+        assert COLUMNS == ("theta_hip", "theta_knee", "theta_ankle", "tau_ankle")
+        for k, name in enumerate(COLUMNS):
+            column = getattr(trial, name)
+            assert np.shares_memory(column, trial.samples)
+            assert np.array_equal(column, trial.samples[:, k])
 
     def test_too_short_rejected(self):
         with pytest.raises(ConfigError, match="at least 16"):
@@ -68,11 +69,13 @@ class TestGaitTrial:
 
     @pytest.mark.parametrize("column", ["theta_hip", "theta_knee", "theta_ankle", "tau_ankle"])
     def test_non_finite_sample_names_trial_column_and_index(self, column):
-        names = ("theta_hip", "theta_knee", "theta_ankle", "tau_ankle")
-        columns = {name: np.zeros(40) for name in names}
-        columns[column][[7, 30]] = [np.nan, np.inf]
+        # columns are scanned in order, so a later column's earlier NaN is not the one named
+        k = COLUMNS.index(column)
+        samples = np.zeros((40, 4))
+        samples[[7, 30], k] = [np.nan, np.inf]
+        samples[2, k + 1 :] = np.nan
         with pytest.raises(ConfigError, match=f"trial 'bad': {column} sample 7 is not finite"):
-            GaitTrial("bad", "NormalWalk", 200.0, **columns)
+            GaitTrial("bad", "NormalWalk", 200.0, samples)
 
     @pytest.mark.parametrize("mode", ["Jogging", "normalwalk", 0])
     def test_unknown_mode_rejected_naming_trial_and_mode(self, mode):
@@ -83,6 +86,14 @@ class TestGaitTrial:
         trial = make_trial()
         with pytest.raises(ValueError):
             trial.theta_hip[0] = 99.0
+        with pytest.raises(ValueError):
+            trial.samples[0, 3] = 99.0
+
+    def test_samples_are_a_copy(self):
+        samples = make_trial().samples.copy()
+        trial = GaitTrial("t", "NormalWalk", 200.0, samples)
+        samples[0, 0] = 99.0
+        assert trial.theta_hip[0] != 99.0
 
 
 class TestDataset:
@@ -129,13 +140,13 @@ class TestCsvRoundTrip:
     @given(
         trial_id=st.text(min_size=1, max_size=12),
         mode=st.sampled_from(MODES),
-        columns=COLUMNS,
+        columns=SAMPLE_COLUMNS,
         rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     )
     def test_write_then_load_is_bit_identical_or_refused(
         self, tmp_path, trial_id, mode, columns, rate
     ):
-        trial = GaitTrial(trial_id, mode, rate, *columns)
+        trial = GaitTrial(trial_id, mode, rate, np.column_stack(columns))
         path = tmp_path / "t.csv"
         try:
             write_trial_csv(trial, path)
@@ -143,8 +154,7 @@ class TestCsvRoundTrip:
             return
         loaded = load_trial_csv(path)
         assert (loaded.trial_id, loaded.mode, loaded.sample_rate_hz) == (trial_id, mode, rate)
-        for name in COLUMN_NAMES:
-            assert getattr(loaded, name).tobytes() == getattr(trial, name).tobytes()
+        assert loaded.samples.tobytes() == trial.samples.tobytes()
 
     @pytest.mark.parametrize(
         "trial_id", ["a,b", "a\nb", "a\rb", "a\fb", "a\u2028b", " pad ", "a\ud800"]
@@ -155,14 +165,14 @@ class TestCsvRoundTrip:
         assert not (tmp_path / "t.csv").exists()
 
     def test_rate_with_non_finite_times_refused(self, tmp_path):
-        trial = GaitTrial("x", "NormalWalk", 1e-310, *ZEROS)
+        trial = GaitTrial("x", "NormalWalk", 1e-310, np.column_stack(ZEROS))
         with pytest.raises(ConfigError, match="sample_rate_hz 1e-310"):
             write_trial_csv(trial, tmp_path / "t.csv")
 
     def test_rows_render_each_sample_with_repr(self):
         awkward = np.resize([-0.0, 5e-324, 1e300, 0.1 + 0.2], 20)
         cols = [awkward, awkward[::-1], np.roll(awkward, 1), np.roll(awkward, 2)]
-        trial = GaitTrial("odd", "StairAscent", 100.0, *cols)
+        trial = GaitTrial("odd", "StairAscent", 100.0, np.column_stack(cols))
         rows = trial_csv_text(trial).splitlines()[2:]
         assert rows == [
             ",".join([repr(i / 100.0)] + [repr(float(col[i])) for col in cols])

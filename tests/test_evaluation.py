@@ -419,10 +419,17 @@ class TestRunLoocv:
         trials = small_dataset.trials[:6]
         trial = trials[k]
         new_targets = dataclasses.replace(
-            trial, theta_ankle=trial.theta_ankle + 1.0, tau_ankle=trial.tau_ankle - 2.0
+            trial,
+            samples=np.column_stack(
+                [trial.theta_hip, trial.theta_knee, trial.theta_ankle + 1.0, trial.tau_ankle - 2.0]
+            ),
         )
         new_inputs = dataclasses.replace(
-            trial, theta_hip=trial.theta_hip * 1.5 + 4.0, theta_knee=trial.theta_knee[::-1]
+            trial,
+            samples=np.column_stack(
+                [trial.theta_hip * 1.5 + 4.0, trial.theta_knee[::-1], trial.theta_ankle,
+                 trial.tau_ankle]
+            ),
         )
 
         def moved(before, changed, config):

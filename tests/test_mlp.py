@@ -111,6 +111,16 @@ class TestLossAndGradient:
         passed, max_rel = gradient_check(model, x, y, 1e-2, samples_per_tensor=20, seed=7)
         assert passed, f"max relative error {max_rel}"
 
+    def test_tensor_whose_every_probe_straddles_a_kink_fails(self):
+        # the hidden unit's pre-activation is exactly 0, so every probe of the first
+        # layer's weight and bias crosses the kink; the output layer's probes agree
+        model = MlpModel((1, 1, 1), [np.array([[0.5]]), np.array([[2.0]])],
+                         [np.array([-0.5]), np.array([0.0])])
+        x, y = np.array([[1.0]]), np.array([[3.0]])
+        passed, max_rel = gradient_check(model, x, y, 0.0)
+        assert not passed
+        assert max_rel < 1e-6
+
     def test_l2_term_included(self):
         model = init((6, 4, 2), 8)
         x, _ = random_batch(33)

@@ -207,6 +207,20 @@ class TestZeroPhaseFilter:
         with pytest.raises(PreprocessError, match=re.escape(f"1-D, got shape {shape}")):
             lowpass_zero_phase(np.ones(shape), filt)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_refused_naming_its_index(self, filt, bad):
+        x = np.ones(40)
+        x[[17, 30]] = bad
+        message = re.escape(f"signal sample 17 is not finite ({bad})")
+        with pytest.raises(PreprocessError, match=message):
+            lowpass_zero_phase(x, filt)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_result_refused(self, filt):
+        with pytest.raises(PreprocessError, match="filtered signal overflows float64"):
+            lowpass_zero_phase(np.resize([1e308, -1e308], 40), filt)
+
     @pytest.mark.parametrize("order", [1, 3, 4])
     def test_minimum_length_reflects_whole_signal_at_both_ends(self, order):
         # at len == 3 x order each pad is the whole signal reversed
@@ -223,7 +237,7 @@ def two_rate_dataset():
     trials = []
     for i, (rate, n) in enumerate([(200.0, 40), (100.0, 33), (200.0, 57), (100.0, 16)]):
         columns = np.cumsum(stream.standard_normal((4, n)), axis=1)
-        trials.append(GaitTrial(f"t{i}", "NormalWalk", rate, *columns))
+        trials.append(GaitTrial(f"t{i}", "NormalWalk", rate, np.column_stack(columns)))
     return GaitDataset(tuple(trials))
 
 
@@ -231,12 +245,6 @@ def trial_blocks(trials, filt, filter_targets=True):
     """Each trial's (inputs, targets): its row slice of feature_rows."""
     inputs, targets, bounds = feature_rows(trials, filt.cutoff_hz, filt.order, filter_targets)
     return [(inputs[a:b], targets[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-
-def split_runs(matrix, lengths, order):
-    """Each signal's filtered samples, read out of its _zero_phase column in time order."""
-    pad = 3 * order
-    return [matrix[n + pad - 1 : pad - 1 : -1, j] for j, n in enumerate(lengths)]
 
 
 class TestBatchedFilter:
@@ -259,9 +267,10 @@ class TestBatchedFilter:
         filt = ButterworthFilter.design(6.0, FS, order)
         stream = np.random.default_rng(order)
         lengths = [3 * order, 3 * order + 1, 50, 3 * order + 2, 121]
-        signals = [np.cumsum(stream.standard_normal(n)) for n in lengths]
-        for x, y in zip(signals, split_runs(_zero_phase(signals, filt), lengths, order)):
-            assert np.array_equal(y, loop_zero_phase(filt.sections, x, order))
+        blocks = [np.cumsum(stream.standard_normal((n, 2)), axis=0) for n in lengths]
+        for x, y in zip(blocks, _zero_phase(blocks, filt)):
+            ref = np.column_stack([loop_zero_phase(filt.sections, c, order) for c in x.T])
+            assert np.array_equal(y, ref)
 
     def test_two_sample_rates_keep_dataset_order(self, filt):
         dataset = two_rate_dataset()
@@ -283,10 +292,10 @@ class TestBatchedFilter:
     def test_random_filters_and_lengths_match_loop(self, order, cutoff_frac, fs, extra, seed):
         filt = ButterworthFilter.design(cutoff_frac * fs, fs, order)
         stream = np.random.default_rng(seed)
-        signals = [stream.standard_normal(3 * order + k) * 10.0 for k in extra]
-        lengths = [len(x) for x in signals]
-        for x, y in zip(signals, split_runs(_zero_phase(signals, filt), lengths, order)):
-            assert np.array_equal(y, loop_zero_phase(filt.sections, x, order))
+        blocks = [stream.standard_normal((3 * order + k, 1 + k % 3)) * 10.0 for k in extra]
+        for x, y in zip(blocks, _zero_phase(blocks, filt)):
+            ref = np.column_stack([loop_zero_phase(filt.sections, c, order) for c in x.T])
+            assert np.array_equal(y, ref)
 
 
 class TestDerivatives:
@@ -313,8 +322,9 @@ class TestDerivatives:
         phase = np.linspace(0.0, 2.0 * pi, 48)
         fast = np.sin(phase)
         trials = [
-            GaitTrial(name, "NormalWalk", FS, hip * fast if name == "b" else np.full(48, hip),
-                      fast, np.cos(phase), fast)
+            GaitTrial(name, "NormalWalk", FS, np.column_stack(
+                [hip * fast if name == "b" else np.full(48, hip), fast, np.cos(phase), fast]
+            ))
             for name, hip in zip("ab", hips)
         ]
         largest = "ab"[int(abs(hips[1]) > abs(hips[0]))]
@@ -421,6 +431,21 @@ class TestSpectralEnergy:
     def test_above_nyquist_warns_and_returns_one(self):
         with pytest.warns(UserWarning, match="Nyquist"):
             assert spectral_energy_fraction(np.ones(16), FS, 150.0) == 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_refused_naming_its_index(self, bad):
+        x = np.ones(40)
+        x[9] = bad
+        message = re.escape(f"signal sample 9 is not finite ({bad})")
+        with pytest.raises(PreprocessError, match=message):
+            spectral_energy_fraction(x, FS, 6.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_energy_refused(self):
+        t = np.arange(122) / FS
+        with pytest.raises(PreprocessError, match="spectral energy overflows float64"):
+            spectral_energy_fraction(1e307 * np.sin(2 * pi * 3.0 * t), FS, 6.0)
 
     def test_matches_direct_dft_reference(self):
         x = np.random.default_rng(4).standard_normal(200)

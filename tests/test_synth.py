@@ -11,7 +11,7 @@ from gaitreg import (
     linear_predict,
     spectral_energy_fraction,
 )
-from gaitreg.data import MODES
+from gaitreg.data import MODES, load_trial_csv, write_trial_csv
 from gaitreg.errors import ConfigError, PipelineError
 from gaitreg.preprocessing import apply_normalization, feature_rows, fit_normalization
 from gaitreg.synth import LINEAR_INTERCEPT, LINEAR_WEIGHTS
@@ -119,6 +119,15 @@ class TestTrajectoryProperties:
         ]
         assert np.mean(distances) > 5.0
         assert min(distances) > 5.0
+
+    def test_swing_moments_keep_their_negative_zero_through_csv(self, default_dataset, tmp_path):
+        # the moment gets no noise, so each swing sample is the window's exact 0.0 times h
+        tau = np.concatenate([t.tau_ankle for t in default_dataset])
+        negative_zero = (tau == 0.0) & np.signbit(tau)
+        assert negative_zero.sum() == 1934
+        for trial in default_dataset:
+            loaded = load_trial_csv(write_trial_csv(trial, tmp_path / f"{trial.trial_id}.csv"))
+            assert np.array_equal(np.signbit(loaded.tau_ankle), np.signbit(trial.tau_ankle))
 
     def test_spectral_premise(self, default_dataset):
         # every kinematic signal keeps >= 95% of its energy below 6 Hz
