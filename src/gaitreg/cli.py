@@ -153,6 +153,9 @@ def main(argv=None) -> int:
     except (PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's names the allocation it could not make
+        print(f"error: out of memory. {exc}".rstrip(), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from numbers import Real
 from pathlib import Path
 from typing import Iterator
 
@@ -51,7 +52,12 @@ class GaitTrial:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"trial {self.trial_id!r}: unknown locomotion mode {self.mode!r}")
-        samples = np.array(self.samples, dtype=np.float64)
+        try:
+            samples = np.array(self.samples, dtype=np.float64)
+        except (TypeError, ValueError):  # ragged rows or a cell that is not a number
+            raise ConfigError(
+                f"trial {self.trial_id!r}: samples are not an (n, 4) matrix of numbers"
+            ) from None
         if samples.ndim != 2 or samples.shape[1] != len(COLUMNS):
             raise ConfigError(
                 f"trial {self.trial_id!r}: samples of shape {samples.shape} are not (n, 4)"
@@ -70,9 +76,13 @@ class GaitTrial:
             )
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-        if not (self.sample_rate_hz > 0.0 and np.isfinite(self.sample_rate_hz)):
-            raise ConfigError(f"trial {self.trial_id!r}: sample_rate_hz must be positive")
-        object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
+        rate = self.sample_rate_hz
+        if not (isinstance(rate, Real) and rate > 0.0 and np.isfinite(rate)):
+            raise ConfigError(f"trial {self.trial_id!r}: sample_rate_hz must be a positive "
+                              f"finite number, got {rate!r}")
+        object.__setattr__(self, "sample_rate_hz", float(rate))
+        if not isinstance(self.trial_id, str):
+            raise ConfigError(f"trial_id {self.trial_id!r} is not a string")
         if not self.trial_id:
             raise ConfigError("trial_id must be non-empty")
 

@@ -42,8 +42,6 @@ MODEL_SPECS = ("mlp", "linear", "svr")
 
 TARGET_KEYS = ("theta", "tau")
 
-STANCE_SWING_BOUNDARY = 60.0  # percent of the gait cycle
-
 
 def r2_score(y: np.ndarray, y_pred: np.ndarray) -> float:
     """Coefficient of determination, 1 - SS_res / SS_tot."""
@@ -100,10 +98,9 @@ def phase_mae_curve(
     """(mae, se): per-bin mean |error| across trials with standard error.
 
     Each fold's |error| sequence, its samples evenly spread over 0..100%
-    phase, is linearly resampled onto n_bins points spread the same way
-    (emit_report plots them on that grid); mae and se have shape
-    (n_bins, 2) for the two targets.  With a single trial the standard
-    error is zero.
+    phase, is linearly resampled onto n_bins points spread the same way;
+    mae and se have shape (n_bins, 2) for the two targets.  With a single
+    trial the standard error is zero.
     """
     if not folds:
         raise ConfigError("phase_mae_curve needs at least one fold")
@@ -282,20 +279,18 @@ def run_loocv(
         if not mode_folds:
             continue
         mae, se = phase_mae_curve(mode_folds, config.phase_bins)
-        r2s = {k: np.array([f.r2[k] for f in mode_folds]) for k in TARGET_KEYS}
-        rmses = {k: np.array([f.rmse[k] for f in mode_folds]) for k in TARGET_KEYS}
-        modes[mode] = {
-            "n_trials": len(mode_folds),
-            "r2_mean": {k: float(v.mean()) for k, v in r2s.items()},
-            "r2_sd": {k: float(v.std(ddof=1)) if len(v) > 1 else 0.0 for k, v in r2s.items()},
-            "rmse_mean": {k: float(v.mean()) for k, v in rmses.items()},
-            "rmse_sd": {k: float(v.std(ddof=1)) if len(v) > 1 else 0.0 for k, v in rmses.items()},
-            "phase_mae": {
-                "theta": mae[:, 0].tolist(),
-                "tau": mae[:, 1].tolist(),
-                "se_theta": se[:, 0].tolist(),
-                "se_tau": se[:, 1].tolist(),
-            },
+        summary = modes[mode] = {"n_trials": len(mode_folds)}
+        for metric in ("r2", "rmse"):
+            values = {k: np.array([getattr(f, metric)[k] for f in mode_folds]) for k in TARGET_KEYS}
+            summary[f"{metric}_mean"] = {k: float(v.mean()) for k, v in values.items()}
+            summary[f"{metric}_sd"] = {
+                k: float(v.std(ddof=1)) if len(v) > 1 else 0.0 for k, v in values.items()
+            }
+        summary["phase_mae"] = {
+            "theta": mae[:, 0].tolist(),
+            "tau": mae[:, 1].tolist(),
+            "se_theta": se[:, 0].tolist(),
+            "se_tau": se[:, 1].tolist(),
         }
 
     # folds come back in dataset order and each y_true is its slice of y_all
@@ -344,7 +339,7 @@ def summary_csv_text(report: EvalReport) -> str:
 
 
 def report_file_names(modes: Sequence[str]) -> list[str]:
-    """The names emit_report writes for a report over these modes."""
+    """The names emit_report writes for a report over these modes, in its order."""
     svgs = [f"phase_mae_{name}_{key}.svg" for name in modes for key in TARGET_KEYS]
     return ["report.json", "summary.csv", *svgs]
 
@@ -356,7 +351,8 @@ def emit_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
     anything is written (ioutil.refuse_foreign_entries).
     """
     out_dir = Path(out_dir)
-    refuse_foreign_entries(out_dir, report_file_names(report.modes))
+    names = report_file_names(report.modes)
+    refuse_foreign_entries(out_dir, names)
     written = [
         atomic_write_text(
             out_dir / "report.json",
@@ -364,20 +360,13 @@ def emit_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
         ),
         atomic_write_text(out_dir / "summary.csv", summary_csv_text(report)),
     ]
-    units = {"theta": "MAE (deg)", "tau": "MAE (Nm)"}
-    titles = {"theta": "ankle angle", "tau": "ankle moment"}
+    labels = {"theta": ("ankle angle", "MAE (deg)"), "tau": ("ankle moment", "MAE (Nm)")}
+    svg_names = iter(names[2:])  # one per mode and target, in the order of these loops
     for name, summary in report.modes.items():
         curves = summary["phase_mae"]
-        grid = np.linspace(0.0, 100.0, len(curves["theta"]))
         for key in TARGET_KEYS:
-            svg = band_plot_svg(
-                grid,
-                curves[key],
-                curves[f"se_{key}"],
-                title=f"{name}: {titles[key]} error vs gait phase",
-                x_label="gait phase (%)",
-                y_label=units[key],
-                divider_x=STANCE_SWING_BOUNDARY,
-            )
-            written.append(atomic_write_text(out_dir / f"phase_mae_{name}_{key}.svg", svg))
+            target, y_label = labels[key]
+            title = f"{name}: {target} error vs gait phase"
+            svg = band_plot_svg(curves[key], curves[f"se_{key}"], title, y_label)
+            written.append(atomic_write_text(out_dir / next(svg_names), svg))
     return written

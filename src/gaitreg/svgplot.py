@@ -1,4 +1,5 @@
-"""Minimal deterministic SVG line plots (mean curve + shaded error band).
+"""The phase-error band plot: a mean curve over 0..100% of the gait cycle,
+its shaded error band, and a dashed stance/swing divider.
 
 Hand-rolled so that two runs with identical inputs yield byte-identical
 files; no plotting library injects ids or timestamps.
@@ -13,6 +14,8 @@ _HEIGHT = 400.0
 _LEFT, _RIGHT, _TOP, _BOTTOM = 62.0, 16.0, 34.0, 48.0
 
 _NICE_STEPS = (1.0, 2.0, 2.5, 5.0, 10.0)
+
+STANCE_SWING_BOUNDARY = 60.0  # percent of the gait cycle
 
 
 def _nice_ceiling(value: float) -> float:
@@ -36,28 +39,17 @@ def _points(xs: list[float], ys: list[float]) -> list[str]:
     return [f"{a:.2f},{b:.2f}" for a, b in zip(xs, ys)]
 
 
-def band_plot_svg(
-    x: np.ndarray,
-    mean: np.ndarray,
-    half_band: np.ndarray,
-    title: str,
-    x_label: str,
-    y_label: str,
-    divider_x: float,
-) -> str:
-    """Line plot of mean with a +-half_band shaded region and a divider at divider_x."""
-    x = np.asarray(x, dtype=np.float64)
+def band_plot_svg(mean: np.ndarray, half_band: np.ndarray, title: str, y_label: str) -> str:
+    """Plot of mean +-half_band, its samples evenly spread over 0..100% gait phase."""
     mean = np.asarray(mean, dtype=np.float64)
     half_band = np.asarray(half_band, dtype=np.float64)
-    x_lo, x_hi = float(x.min()), float(x.max())
     y_hi = _nice_ceiling(float(np.max(mean + half_band)) * 1.05)
-    y_lo = 0.0
 
     def px(v):
-        return _LEFT + (v - x_lo) / (x_hi - x_lo) * (_WIDTH - _LEFT - _RIGHT)
+        return _LEFT + v / 100.0 * (_WIDTH - _LEFT - _RIGHT)
 
     def py(v):
-        return _HEIGHT - _BOTTOM - (v - y_lo) / (y_hi - y_lo) * (_HEIGHT - _TOP - _BOTTOM)
+        return _HEIGHT - _BOTTOM - v / y_hi * (_HEIGHT - _TOP - _BOTTOM)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:.0f}" '
@@ -83,16 +75,17 @@ def band_plot_svg(
     # axes + ticks
     n_yticks = 5
     for i in range(n_yticks + 1):
-        v = y_lo + (y_hi - y_lo) * i / n_yticks
+        v = y_hi * i / n_yticks
         line(_LEFT, py(v), _WIDTH - _RIGHT, py(v), "#dddddd")
         text(_LEFT - 6, py(v) + 4, "end", 11, f"{v:.4g}")
-    for v in np.linspace(x_lo, x_hi, 6):
+    for v in np.linspace(0.0, 100.0, 6):
         text(px(v), _HEIGHT - _BOTTOM + 16, "middle", 11, f"{v:.4g}")
-    line(px(divider_x), py(y_hi), px(divider_x), py(y_lo), "#888888", ' stroke-dasharray="5,4"')
-    text(px(divider_x) - 6, _TOP + 12, "end", 11, "stance", ' fill="#666666"')
-    text(px(divider_x) + 6, _TOP + 12, "start", 11, "swing", ' fill="#666666"')
+    divider = px(STANCE_SWING_BOUNDARY)
+    line(divider, py(y_hi), divider, py(0.0), "#888888", ' stroke-dasharray="5,4"')
+    text(divider - 6, _TOP + 12, "end", 11, "stance", ' fill="#666666"')
+    text(divider + 6, _TOP + 12, "start", 11, "swing", ' fill="#666666"')
     # error band and mean line; px and py map whole arrays elementwise
-    xs = px(x).tolist()
+    xs = px(np.linspace(0.0, 100.0, len(mean))).tolist()
     upper = _points(xs, py(mean + half_band).tolist())
     floor = py(np.maximum(mean - half_band, 0.0)).tolist()
     lower = _points(xs[::-1], floor[::-1])
@@ -106,7 +99,7 @@ def band_plot_svg(
         f'<rect x="{_fmt(_LEFT)}" y="{_fmt(_TOP)}" width="{_fmt(_WIDTH - _LEFT - _RIGHT)}" '
         f'height="{_fmt(_HEIGHT - _TOP - _BOTTOM)}" fill="none" stroke="#333333" stroke-width="1"/>'
     )
-    text((_LEFT + _WIDTH - _RIGHT) / 2, _HEIGHT - 10, "middle", 12, x_label)
+    text((_LEFT + _WIDTH - _RIGHT) / 2, _HEIGHT - 10, "middle", 12, "gait phase (%)")
     mid = _fmt((_TOP + _HEIGHT - _BOTTOM) / 2)
     text("16", mid, "middle", 12, y_label, f' transform="rotate(-90 16 {mid})"')
     parts.append("</svg>")

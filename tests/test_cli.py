@@ -953,3 +953,27 @@ def test_out_that_is_not_a_directory_exits_2_before_any_work(
     ]
     assert sorted(tmp_path.iterdir()) == [blocker]
     assert blocker.read_text() == "a file, not a directory"
+
+
+@pytest.mark.parametrize(
+    "message, line",
+    [
+        (
+            "Unable to allocate 7.54 TiB for an array with shape (1036496211032,) "
+            "and data type float64",
+            "error: out of memory. Unable to allocate 7.54 TiB for an array with shape "
+            "(1036496211032,) and data type float64",
+        ),
+        ("", "error: out of memory."),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_out_of_memory_is_one_error_line_and_exit_1(tmp_path, monkeypatch, capsys, message, line):
+    import gaitreg.synth as synth
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)  # what numpy raises for an allocation it cannot make
+
+    monkeypatch.setattr(synth, "generate", exhausted)
+    code, err = main_in_process(capsys, "synth", "--out", str(tmp_path / "data"))
+    assert (code, err) == (1, [line])

@@ -82,6 +82,33 @@ class TestGaitTrial:
         with pytest.raises(ConfigError, match=f"trial 'a': unknown locomotion mode {mode!r}"):
             make_trial("a", mode)
 
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            [[1, 2, 3, 4]] * 16 + [[1, 2]],
+            [[1, 2, 3, 4]] * 15 + [[1, 2, "three", 4]],
+            [[1, 2, 3, 4]] * 15 + [[1, 2, {}, 4]],
+        ],
+        ids=["ragged", "non-numeric-str", "non-numeric-object"],
+    )
+    def test_samples_that_are_not_a_matrix_of_numbers_rejected_naming_trial(self, samples):
+        with pytest.raises(ConfigError, match=r"trial 'bad': samples are not an \(n, 4\) matrix"):
+            GaitTrial("bad", "NormalWalk", 200.0, samples)
+
+    @pytest.mark.parametrize("rate", ["abc", "200", None, 0.0, -1.0, np.inf, np.nan])
+    def test_rate_that_is_not_a_positive_number_rejected_naming_trial(self, rate):
+        with pytest.raises(
+            ConfigError,
+            match=re.escape(f"trial 'bad': sample_rate_hz must be a positive finite number, "
+                            f"got {rate!r}"),
+        ):
+            GaitTrial("bad", "NormalWalk", rate, np.zeros((16, 4)))
+
+    @pytest.mark.parametrize("trial_id", [123, None, b"t0"])
+    def test_trial_id_that_is_not_a_string_rejected(self, trial_id):
+        with pytest.raises(ConfigError, match=re.escape(f"trial_id {trial_id!r} is not a string")):
+            GaitTrial(trial_id, "NormalWalk", 200.0, np.zeros((16, 4)))
+
     def test_arrays_are_immutable(self):
         trial = make_trial()
         with pytest.raises(ValueError):
